@@ -8,25 +8,15 @@ mixed strategy.  Every closed form ships with an independent simulation
 oracle; see the `simulate` module and the `shoreline check` acceptance suite.
 """
 
-from .numerics import (Bracket, NumericalError, RandomStream, SolveReport, find_root,
-                       integrate, lambert_w0, minimize_scalar, next_uniform,
-                       solve_system2, uniform_block)
-from .spiral_geometry import (LineGeneral, Spiral, TangentContact, arclength,
-                              circle_tangent_radius, line_distance_to_origin,
-                              scale_theta1, second_contact, spiral_tangent_slope,
-                              tangent_contact)
-from .spiral_objectives import (AnglePair, Optimum, erroneous_objective,
-                                minimize_minmax, minimize_minmean, minmax_objective,
-                                minmax_system_residuals, minmean_objective,
-                                minmean_system_residuals, phi, psi,
-                                solve_minmax_system, solve_minmean_system, xi)
-from .coil import (Coil, CoilHit, MeanOptima, MixedStrategy, RatioExtrema,
-                   average_ratio, bracket_index, bracket_integral_neg,
-                   bracket_integral_pos, mixed_expected_ratio, optimal_minmax_coil,
-                   optimal_minmean_coil, optimal_mixed, path_length_to, position,
-                   ratio_extrema, travel_distance, worst_case_ratio)
-from .simulate import (SampleStats, SimConfig, coil_marching_distance,
-                       mixed_strategy_sample, monte_carlo_mean_arclength,
-                       scan_worst_ratio, shard_stream, spiral_first_contact)
+from .numerics import NumericalError
+from .spiral_geometry import Spiral, second_contact
+from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
+                                minmax_objective, minmax_system_objective, minmean_objective,
+                                minmean_system_objective, solve_minmax_system,
+                                solve_minmean_system)
+from .coil import (Coil, average_ratio, mixed_expected_ratio, optimal_minmax_coil,
+                   optimal_minmean_coil, optimal_mixed, ratio_extrema, travel_distance,
+                   worst_case_ratio)
+from .simulate import SimConfig, mixed_strategy_sample, monte_carlo_mean_arclength
 
 __version__ = "0.1.0"

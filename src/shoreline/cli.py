@@ -33,9 +33,10 @@ from .numerics import NumericalError, uniform_block
 from .simulate import (SimConfig, coil_marching_distance, mixed_strategy_sample,
                        monte_carlo_mean_arclength, summarize)
 from .spiral_geometry import Spiral, second_contact
-from .spiral_objectives import (minimize_minmax, minimize_minmean, minmax_objective,
-                                minmean_objective, erroneous_objective,
-                                solve_minmax_system, solve_minmean_system)
+from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
+                                minmax_objective, minmax_system_objective, minmean_objective,
+                                minmean_system_objective, solve_minmax_system,
+                                solve_minmean_system)
 
 __all__ = ["main", "OutputRecord"]
 
@@ -89,6 +90,8 @@ def emit(record: OutputRecord, fmt: str) -> str:
 
 def _cmd_spiral(args: argparse.Namespace) -> OutputRecord:
     R = args.R
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError("--R must be a finite positive distance")
     rec = OutputRecord(command=f"spiral {args.mode}", parameters={"R": R})
     if args.mode == "eval":
         if args.kappa is None:
@@ -110,14 +113,11 @@ def _cmd_spiral(args: argparse.Namespace) -> OutputRecord:
     if args.mode == "minmax":
         opt = minimize_minmax()
         pair = solve_minmax_system()
-        system_obj = 1.0 / (math.sin(pair.alpha) * math.cos(pair.beta))
+        system_obj = minmax_system_objective(pair)
     else:
         opt = minimize_minmean()
         pair = solve_minmean_system()
-        w = ((1.0 / math.cos(pair.beta) - 1.0 / math.cos(pair.alpha)) / math.tan(pair.alpha)
-             + math.log(1.0 / math.cos(pair.alpha) + math.tan(pair.alpha))
-             + math.log(1.0 / math.cos(pair.beta) + math.tan(pair.beta)))
-        system_obj = w / math.sin(pair.alpha) / (2.0 * math.pi)
+        system_obj = minmean_system_objective(pair)
     rec.results = {
         "kappa": opt.kappa,
         "objective": R * opt.objective_value,
@@ -311,11 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--check" in argv:  # convenience alias for the check subcommand
-        argv = ["check"]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.cmd == "check":
             return _cmd_check()

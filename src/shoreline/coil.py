@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
+import numpy as np
+
 from .numerics import Bracket, lambert_w0, minimize_scalar
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "path_length_to",
     "bracket_index",
     "travel_distance",
+    "bracket_ratio",
     "worst_case_ratio",
     "optimal_minmax_coil",
     "bracket_integral_pos",
@@ -87,7 +90,7 @@ class MixedStrategy:
     def __post_init__(self) -> None:
         if self.gamma <= 1.0:
             raise ValueError("require gamma > 1")
-        want = 1.0 + (self.gamma + 1.0) / math.log(self.gamma)
+        want = _mixed_ratio(self.gamma)
         if abs(self.expected_ratio - want) > 1e-12 * max(1.0, abs(want)):
             raise ValueError("expected_ratio inconsistent with gamma")
 
@@ -121,50 +124,60 @@ def path_length_to(coil: Coil, t: float) -> float:
     return (g + 1.0) * g ** k * (1.0 / (g - 1.0) + (t - k))
 
 
+def _turn_offset(target: float) -> int:
+    # Turning points sit at +gamma^(2i) and -gamma^(2i-1): offset c in gamma^(2i+c).
+    return 0 if target > 0.0 else -1
+
+
 def bracket_index(coil: Coil, target: float) -> int:
     """Bracket index of a signed target.
 
-    For X > 0 the index i satisfies gamma^(2i) < X <= gamma^(2i+2); for
-    X < 0 it satisfies gamma^(2i-1) < -X <= gamma^(2i+1).  The ceiling
-    formula ceil(ln|X| / (2 ln gamma) - 1) (resp. - 1/2) is evaluated first
-    and then nudged until the defining inequalities hold exactly, since the
-    ceiling can misround in floating point when X sits at a power of gamma;
-    the inequalities are authoritative.
+    The index i satisfies gamma^(2i+c) < |X| <= gamma^(2i+2+c), with offset
+    c = 0 for X > 0 and c = -1 for X < 0.  The ceiling formula
+    ceil(ln|X| / (2 ln gamma) - 1 - c/2) is evaluated first and then nudged
+    until the defining inequalities hold exactly, since the ceiling can
+    misround in floating point when |X| sits at a power of gamma; the
+    inequalities are authoritative.
     """
     g = coil.gamma
     if target == 0.0:
         raise ValueError("target at origin")
-    lg = math.log(g)
-    if target > 0.0:
-        i = math.ceil(math.log(target) / (2.0 * lg) - 1.0)
-        while g ** (2 * i) >= target:
-            i -= 1
-        while g ** (2 * i + 2) < target:
-            i += 1
-    else:
-        xa = -target
-        i = math.ceil(math.log(xa) / (2.0 * lg) - 0.5)
-        while g ** (2 * i - 1) >= xa:
-            i -= 1
-        while g ** (2 * i + 1) < xa:
-            i += 1
+    xa, c = abs(target), _turn_offset(target)
+    i = math.ceil(math.log(xa) / (2.0 * math.log(g)) - (1.0 + 0.5 * c))
+    while g ** (2 * i + c) >= xa:
+        i -= 1
+    while g ** (2 * i + 2 + c) < xa:
+        i += 1
     return i
 
 
 def travel_distance(coil: Coil, target: float) -> CoilHit:
     """Travel distance to reach a signed target, in closed form.
 
-    delta = X + 2*gamma^(2i+2)/(gamma-1) for X > 0 and
-    delta = -X + 2*gamma^(2i+1)/(gamma-1) for X < 0, equal to the path
-    length at the first trajectory time with position(t) = X.
+    delta = |X| + 2*gamma^(2i+2+c)/(gamma-1) with the bracket index i and
+    offset c of ``bracket_index``, equal to the path length at the first
+    trajectory time with position(t) = X.
     """
     g = coil.gamma
     i = bracket_index(coil, target)
-    if target > 0.0:
-        delta = target + 2.0 * g ** (2 * i + 2) / (g - 1.0)
-    else:
-        delta = -target + 2.0 * g ** (2 * i + 1) / (g - 1.0)
+    delta = abs(target) + 2.0 * g ** (2 * i + 2 + _turn_offset(target)) / (g - 1.0)
     return CoilHit(target=target, index=i, delta=delta)
+
+
+def bracket_ratio(gamma: float, magnitude, offset):
+    """delta/|X| = 1 + 2*gamma^(2i+2+c)/((gamma-1)*|X|) for targets of
+    magnitude ``magnitude`` whose turning points sit at gamma^(k+c), c =
+    ``offset``: 0 for positive targets, -1 for negative ones, the phase H
+    of the mixed strategy.  Vectorized over both arguments.
+
+    The vector form of ``bracket_index`` and ``travel_distance``: the
+    ceiling guess is nudged by one step each way, which suffices because
+    it is off by at most one.
+    """
+    i = np.ceil(np.log(magnitude) / (2.0 * math.log(gamma)) - (1.0 + 0.5 * offset))
+    i = np.where(gamma ** (2.0 * i + offset) >= magnitude, i - 1.0, i)
+    i = np.where(gamma ** (2.0 * i + 2.0 + offset) < magnitude, i + 1.0, i)
+    return 1.0 + 2.0 * gamma ** (2.0 * i + 2.0 + offset) / ((gamma - 1.0) * magnitude)
 
 
 def worst_case_ratio(coil: Coil) -> float:
@@ -265,13 +278,16 @@ def optimal_minmean_coil() -> MeanOptima:
                       gamma_for_max=rmax.root_or_argmin, mean_max=rmax.residual_or_value)
 
 
+def _mixed_ratio(g: float) -> float:
+    return 1.0 + (g + 1.0) / math.log(g)
+
+
 def mixed_expected_ratio(gamma: float) -> MixedStrategy:
     """Expected ratio E[delta(X)]/X of the phase-randomized coil family,
     1 + (gamma+1)/ln(gamma); independent of the (positive) target."""
     if gamma <= 1.0:
         raise ValueError("require gamma > 1")
-    return MixedStrategy(gamma=gamma,
-                         expected_ratio=1.0 + (gamma + 1.0) / math.log(gamma))
+    return MixedStrategy(gamma=gamma, expected_ratio=_mixed_ratio(gamma))
 
 
 def optimal_mixed() -> MixedStrategy:
@@ -283,8 +299,7 @@ def optimal_mixed() -> MixedStrategy:
     ``mixed_expected_ratio`` on [1.5, 10].
     """
     gamma = 1.0 / lambert_w0(math.exp(-1.0))
-    report = minimize_scalar(lambda g: 1.0 + (g + 1.0) / math.log(g), Bracket(1.5, 10.0),
-                             tol=1e-10)
+    report = minimize_scalar(_mixed_ratio, Bracket(1.5, 10.0), tol=1e-10)
     if abs(report.root_or_argmin - gamma) > 1e-9:
         raise AssertionError(
             f"minimizer {report.root_or_argmin!r} disagrees with 1/W(1/e) = {gamma!r}")

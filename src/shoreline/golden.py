@@ -41,7 +41,6 @@ COIL_MEAN_MAX = 4.8131558458
 
 # Mixed (phase-randomized) strategy.
 MIXED_GAMMA = 3.591121476669  # = 1/W(1/e)
-MIXED_RATIO_G2 = 1.0 + 3.0 / math.log(2.0)
 
 # Fixed Monte Carlo configuration for the acceptance runs.
 CHECK_SEED = 7

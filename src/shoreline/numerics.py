@@ -360,18 +360,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _value_at(seed: int, position: int) -> float:
-    """Uniform double in [0, 1) from the top 53 bits of the mixed counter."""
-    z = _mix64((seed + ((position + 1) * _GOLDEN64)) & _MASK64)
-    return (z >> 11) * 2.0 ** -53
-
-
 @dataclass
 class RandomStream:
     """Deterministic uniform stream: value i depends only on (seed, i)."""
@@ -384,28 +372,22 @@ class RandomStream:
         if self.position < 0:
             raise ValueError("position must be non-negative")
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return next_uniform(self, lo, hi)
-
-    def jumped(self, offset: int) -> "RandomStream":
-        """A new stream over the same sequence, advanced by ``offset``."""
-        return RandomStream(self.seed, self.position + offset)
-
 
 def next_uniform(stream: RandomStream, lo: float = 0.0, hi: float = 1.0) -> float:
     """Next value in [lo, hi); advances the stream by one position."""
     if not lo < hi:
         raise ValueError("require lo < hi")
-    u = _value_at(stream.seed, stream.position)
+    value = float(uniform_block(stream.seed, stream.position, 1, lo, hi)[0])
     stream.position += 1
-    return lo + (hi - lo) * u
+    return value
 
 
 def uniform_block(seed: int, start: int, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Vectorized stream values for positions start .. start+count-1.
+    """Stream values for positions start .. start+count-1: a uniform double
+    in [lo, hi) from the top 53 bits of each mixed counter.
 
-    Bit-identical to ``count`` successive ``next_uniform`` calls on
-    ``RandomStream(seed, start)``; used by the Monte Carlo drivers.
+    ``count`` successive ``next_uniform`` calls on ``RandomStream(seed, start)``
+    read the same values one at a time.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

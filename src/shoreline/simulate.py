@@ -8,9 +8,8 @@ Monte Carlo drivers average those primitive measurements over seeded,
 reproducible random draws.
 
 The random stream is counter-based, so a run of n samples always consumes
-stream positions 0..n-1.  Shards are fixed blocks of SHARD_SIZE positions:
-shard k of seed s is the stream (s, position = k * SHARD_SIZE), which makes
-any sharded execution merge to the same result as a serial one.
+stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
+holds exactly the values a serial run draws at those positions.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .numerics import NumericalError, RandomStream, uniform_block
+from .coil import bracket_ratio
+from .numerics import NumericalError, _golden_section, uniform_block
 from .spiral_geometry import Spiral, arclength, tangent_contact
 
 __all__ = [
     "SimConfig",
     "SampleStats",
-    "SHARD_SIZE",
-    "shard_stream",
     "summarize",
     "spiral_first_contact",
     "monte_carlo_mean_arclength",
@@ -36,11 +34,6 @@ __all__ = [
     "mixed_strategy_sample",
     "scan_worst_ratio",
 ]
-
-TWO_PI = 2.0 * math.pi
-
-# Fixed shard width for Monte Carlo runs (positions per shard).
-SHARD_SIZE = 65536
 
 # A line counts as touched when the marched distance comes within this of
 # zero at a local maximum; tangential grazes then resolve to the maximum
@@ -90,13 +83,6 @@ class SampleStats:
             raise ValueError("inconsistent sample statistics")
 
 
-def shard_stream(seed: int, shard: int) -> RandomStream:
-    """Stream for shard ``shard`` of a run seeded with ``seed``."""
-    if shard < 0:
-        raise ValueError("shard index must be non-negative")
-    return RandomStream(seed, position=shard * SHARD_SIZE)
-
-
 def summarize(values: np.ndarray) -> SampleStats:
     """SampleStats of a 1-D array (standard error uses the n-1 denominator)."""
     n = int(values.size)
@@ -127,20 +113,7 @@ def _bisect_contact(kappa: float, omega: float, lo: float, hi: float, tol: float
 
 def _refine_local_max(kappa: float, omega: float, lo: float, hi: float) -> Tuple[float, float]:
     """Golden-section maximization of the signed distance on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc = _signed_distance(kappa, omega, c)
-    fd = _signed_distance(kappa, omega, d)
-    while hi - lo > 1e-10:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = _signed_distance(kappa, omega, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = _signed_distance(kappa, omega, d)
+    lo, hi, _ = _golden_section(lambda t: -_signed_distance(kappa, omega, t), lo, hi, 1e-10)
     mid = 0.5 * (lo + hi)
     return mid, _signed_distance(kappa, omega, mid)
 
@@ -165,7 +138,7 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
         raise ValueError("require kappa > 0")
     h = cfg.march_step
     band = (1.0 + kappa * kappa) ** 1.5 * h * h
-    theta_start = min(0.0, omega) - TWO_PI
+    theta_start = min(0.0, omega) - math.tau
     guard_end = theta_start + math.pi
     limit = theta_start + 8.0 * math.pi
     theta = theta_start
@@ -210,7 +183,7 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, march_step: float,
     guard_steps = int(math.ceil(math.pi / h))
     max_steps = int(math.ceil(8.0 * math.pi / h))
 
-    theta = np.minimum(0.0, omegas) - TWO_PI
+    theta = np.minimum(0.0, omegas) - math.tau
     radial = np.exp(kappa * theta)
     cos_ph = np.cos(theta - omegas)
     sin_ph = np.sin(theta - omegas)
@@ -280,7 +253,7 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
         raise ValueError("require kappa > 0")
     _, omega0 = tangent_contact(Spiral(kappa, 1.0))
     us = uniform_block(cfg.seed, 0, cfg.samples)
-    omegas = omega0 + TWO_PI * us
+    omegas = omega0 + math.tau * us
     hits = _march_first_contacts(kappa, omegas, cfg.march_step, cfg.refine_tol)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
     return summarize(factor * np.exp(kappa * hits))
@@ -313,26 +286,6 @@ def coil_marching_distance(gamma: float, x: float, cfg: SimConfig) -> float:
     raise NumericalError("no segment reached the target")
 
 
-def _ratio_at(gamma: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized delta(x)/|x| via the bracket rule (both signs)."""
-    out = np.empty(xs.size, dtype=np.float64)
-    lg = math.log(gamma)
-    pos = xs > 0.0
-    if pos.any():
-        x = xs[pos]
-        i = np.ceil(np.log(x) / (2.0 * lg) - 1.0)
-        i = np.where(gamma ** (2.0 * i) >= x, i - 1.0, i)
-        i = np.where(gamma ** (2.0 * i + 2.0) < x, i + 1.0, i)
-        out[pos] = 1.0 + 2.0 * gamma ** (2.0 * i + 2.0) / ((gamma - 1.0) * x)
-    if (~pos).any():
-        xa = -xs[~pos]
-        j = np.ceil(np.log(xa) / (2.0 * lg) - 0.5)
-        j = np.where(gamma ** (2.0 * j - 1.0) >= xa, j - 1.0, j)
-        j = np.where(gamma ** (2.0 * j + 1.0) < xa, j + 1.0, j)
-        out[~pos] = 1.0 + 2.0 * gamma ** (2.0 * j + 1.0) / ((gamma - 1.0) * xa)
-    return out
-
-
 def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats:
     """Sampled travel ratio delta(x)/x of the phase-randomized coil.
 
@@ -346,12 +299,7 @@ def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats
     if x <= 0.0:
         raise ValueError("require a positive target")
     phases = uniform_block(cfg.seed, 0, cfg.samples, 0.0, 2.0)
-    target_exp = math.log(x) / math.log(gamma)
-    i = np.ceil((target_exp - phases) / 2.0) - 1.0
-    i = np.where(gamma ** (2.0 * i + phases) >= x, i - 1.0, i)
-    i = np.where(gamma ** (2.0 * i + 2.0 + phases) < x, i + 1.0, i)
-    ratios = 1.0 + 2.0 * gamma ** (2.0 * i + 2.0 + phases) / ((gamma - 1.0) * x)
-    return summarize(ratios)
+    return summarize(bracket_ratio(gamma, x, phases))
 
 
 def scan_worst_ratio(gamma: float, points: int) -> float:
@@ -363,10 +311,10 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
         raise ValueError("require gamma > 1")
     if points < 100:
         raise ValueError("require points >= 100")
-    half = points // 2
-    exps = np.linspace(-3.0, 3.0, half)
+    grid = gamma ** np.linspace(-3.0, 3.0, points // 2)
     ks = np.array([-1.0, 0.0, 1.0])
     probe_pos = gamma ** (2.0 * ks) * (1.0 + 1e-9)
-    probe_neg = -(gamma ** (2.0 * ks - 1.0)) * (1.0 + 1e-9)
-    xs = np.concatenate([gamma ** exps, -(gamma ** exps), probe_pos, probe_neg])
-    return float(_ratio_at(gamma, xs).max())
+    probe_neg = gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9)
+    # Positive targets bracket at offset 0, negative ones at offset -1.
+    return max(float(bracket_ratio(gamma, np.concatenate([grid, probe_pos]), 0).max()),
+               float(bracket_ratio(gamma, np.concatenate([grid, probe_neg]), -1).max()))

@@ -27,9 +27,6 @@ __all__ = [
     "arclength",
 ]
 
-TWO_PI = 2.0 * math.pi
-
-
 @dataclass(frozen=True)
 class Spiral:
     """Growth rate ``kappa`` (> 0) and shoreline distance ``radius`` (> 0)."""
@@ -69,7 +66,7 @@ class TangentContact:
     theta1: float
 
     def __post_init__(self) -> None:
-        if not self.omega0 < self.theta0 < self.theta1 < self.theta0 + TWO_PI:
+        if not self.omega0 < self.theta0 < self.theta1 < self.theta0 + math.tau:
             raise ValueError("contact angles out of order")
 
 
@@ -137,7 +134,7 @@ def second_contact(spiral: Spiral) -> TangentContact:
     k, R = spiral.kappa, spiral.radius
     theta0, omega0 = tangent_contact(spiral)
     lo = omega0 + 1.5 * math.pi
-    hi = omega0 + TWO_PI
+    hi = omega0 + math.tau
     f_lo = _offset_line_residual(k, R, omega0, lo)
     f_hi = _offset_line_residual(k, R, omega0, hi)
     if not (f_lo < 0.0 < f_hi):

@@ -32,17 +32,17 @@ __all__ = [
     "minimize_minmax",
     "minimize_minmean",
     "minmax_system_residuals",
+    "minmax_system_objective",
     "solve_minmax_system",
     "phi",
     "psi",
     "xi",
     "minmean_system_residuals",
+    "minmean_system_objective",
     "solve_minmean_system",
     "MINMAX_BRACKET",
     "MINMEAN_BRACKET",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # Search brackets: both contain the optima with wide margin and stay clear of
 # the kappa -> 0 divergence.  Unimodality on them is checked by a scan in the
@@ -92,7 +92,7 @@ def _angles_for(kappa: float) -> Tuple[float, float]:
     alpha = arctan(kappa), beta = theta0 + 2*pi - alpha - theta1."""
     theta0, _, theta1 = _contact_angles(kappa)
     alpha = math.atan(kappa)
-    return alpha, theta0 + TWO_PI - alpha - theta1
+    return alpha, theta0 + math.tau - alpha - theta1
 
 
 def minmax_objective(kappa: float) -> float:
@@ -126,7 +126,7 @@ def minmean_objective(kappa: float) -> float:
     theta0, _, theta1 = _contact_angles(kappa)
     u = math.exp(kappa * theta0)
     v = math.exp(kappa * theta1)
-    return math.sqrt(1.0 + kappa * kappa) / (TWO_PI * kappa) * (
+    return math.sqrt(1.0 + kappa * kappa) / (math.tau * kappa) * (
         v / kappa + math.log(v + math.sqrt(v * v - 1.0))
         - u / kappa + math.log(u + math.sqrt(u * u - 1.0)))
 
@@ -159,9 +159,18 @@ def minmax_system_residuals(pair: AnglePair) -> Tuple[float, float]:
     just at the optimum.
     """
     a, b = pair.alpha, pair.beta
-    r1 = 1.0 / math.tan(a) + 1.0 / math.tan(b) - (TWO_PI - a - b) / math.cos(a) ** 2
-    r2 = math.cos(a) / math.cos(b) - math.exp((TWO_PI - a - b) * math.tan(a))
-    return r1, r2
+    r1 = 1.0 / math.tan(a) + 1.0 / math.tan(b) - (math.tau - a - b) / math.cos(a) ** 2
+    return r1, _contact_residual(a, b)
+
+
+def _contact_residual(a: float, b: float) -> float:
+    # The contact constraint shared by both angle systems.
+    return math.cos(a) / math.cos(b) - math.exp((math.tau - a - b) * math.tan(a))
+
+
+def minmax_system_objective(pair: AnglePair) -> float:
+    """Worst-case arclength at R = 1 from the angle pair: csc(a)*sec(b)."""
+    return 1.0 / (math.sin(pair.alpha) * math.cos(pair.beta))
 
 
 # Newton starting points, read off the known optima: alpha = arctan(kappa*)
@@ -193,7 +202,7 @@ def psi(pair: AnglePair) -> float:
     """Second aggregate: (a + b - 2*pi) * (sec(a)*csc(b) + csc(a)*sec(b)) * sec(a).
     Negative for every valid pair, since a + b < 2*pi."""
     a, b = pair.alpha, pair.beta
-    return ((a + b - TWO_PI)
+    return ((a + b - math.tau)
             * (1.0 / (math.cos(a) * math.sin(b)) + 1.0 / (math.sin(a) * math.cos(b)))
             / math.cos(a))
 
@@ -212,10 +221,18 @@ def minmean_system_residuals(pair: AnglePair) -> Tuple[float, float]:
     """Residuals characterizing the min-mean optimum: the stationarity
     balance phi + psi - xi (kept term-for-term, no simplification) and the
     same contact constraint as the min-max system."""
+    return phi(pair) + psi(pair) - xi(pair), _contact_residual(pair.alpha, pair.beta)
+
+
+def minmean_system_objective(pair: AnglePair) -> float:
+    """Mean arclength at R = 1 from the angle pair: w*csc(a)/(2*pi) with
+    w = (sec(b) - sec(a))*cot(a) + ln(sec(a) + tan(a)) + ln(sec(b) + tan(b)),
+    the angle form of ``minmean_objective``."""
     a, b = pair.alpha, pair.beta
-    r1 = phi(pair) + psi(pair) - xi(pair)
-    r2 = math.cos(a) / math.cos(b) - math.exp((TWO_PI - a - b) * math.tan(a))
-    return r1, r2
+    w = ((1.0 / math.cos(b) - 1.0 / math.cos(a)) / math.tan(a)
+         + math.log(1.0 / math.cos(a) + math.tan(a))
+         + math.log(1.0 / math.cos(b) + math.tan(b)))
+    return w / math.sin(a) / math.tau
 
 
 def solve_minmean_system(guess: AnglePair = MINMEAN_GUESS) -> AnglePair:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from shoreline.cli import main
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "shoreline", *args]
@@ -47,6 +49,13 @@ class TestSpiralCommands:
     def test_eval_invalid_kappa(self):
         cp = run_cli("spiral", "eval", "--kappa", "-0.3")
         assert cp.returncode == 2
+
+    @pytest.mark.parametrize("radius", ["-2", "0", "nan", "inf"])
+    def test_invalid_radius(self, radius, capsys):
+        for mode in (["minmax"], ["minmean"], ["eval", "--kappa", "0.5"]):
+            assert main(["spiral", *mode, f"--R={radius}"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "--R" in err
 
 
 class TestCoilCommands:
@@ -181,6 +190,12 @@ class TestOutputFormats:
     def test_usage_error_exit_code(self):
         assert run_cli("spiral", "bogus").returncode == 2
         assert run_cli().returncode == 2
+
+    def test_stray_check_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coil", "eval", "--gamma", "2", "--X", "3", "--check"])
+        assert exc.value.code == 2
+        assert "--check" in capsys.readouterr().err
 
     def test_help(self):
         cp = run_cli("--help")

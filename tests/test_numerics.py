@@ -196,6 +196,12 @@ class TestRandomStream:
         s = RandomStream(31337, 5)
         assert [next_uniform(s) for _ in range(200)] == list(blk)
 
+    def test_known_answer(self):
+        # published SplitMix64 outputs for seed 1234567
+        zs = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+              4593380528125082431, 16408922859458223821]
+        assert list(uniform_block(1234567, 0, 5)) == [(z >> 11) * 2.0 ** -53 for z in zs]
+
     def test_clt_mean(self):
         us = uniform_block(1, 0, 1_000_000)
         assert abs(us.mean() - 0.5) < 0.002  # 3 sigma = 3/(sqrt(12)*1e3)

@@ -1,13 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shoreline.coil import Coil, mixed_expected_ratio, travel_distance, worst_case_ratio
+from shoreline.coil import (Coil, bracket_ratio, mixed_expected_ratio, travel_distance,
+                            worst_case_ratio)
 from shoreline.numerics import RandomStream, next_uniform, uniform_block
-from shoreline.simulate import (SHARD_SIZE, SampleStats, SimConfig, _march_first_contacts,
+from shoreline.simulate import (SampleStats, SimConfig, _march_first_contacts,
                                 coil_marching_distance, mixed_strategy_sample,
-                                monte_carlo_mean_arclength, scan_worst_ratio, shard_stream,
+                                monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact)
 from shoreline.spiral_geometry import Spiral, second_contact, tangent_contact
 from shoreline.spiral_objectives import minmax_objective, minmean_objective
@@ -134,11 +136,12 @@ class TestMonteCarloMeanArclength:
             monte_carlo_mean_arclength(0.4, cfg)
 
     def test_shard_derivation_consistency(self):
-        # per-shard uniforms concatenate to the serial sequence
-        whole = uniform_block(9, 0, 2 * SHARD_SIZE + 17)
-        s0 = uniform_block(9, shard_stream(9, 0).position, SHARD_SIZE)
-        s1 = uniform_block(9, shard_stream(9, 1).position, SHARD_SIZE)
-        s2 = uniform_block(9, shard_stream(9, 2).position, 17)
+        # blocks drawn at offsets concatenate to the serial sequence
+        shard = 65536
+        whole = uniform_block(9, 0, 2 * shard + 17)
+        s0 = uniform_block(9, 0, shard)
+        s1 = uniform_block(9, shard, shard)
+        s2 = uniform_block(9, 2 * shard, 17)
         assert (np.concatenate([s0, s1, s2]) == whole).all()
 
 
@@ -209,9 +212,31 @@ class TestScanWorstRatio:
         # drop positive probes: a grid plus negative-side probes still gets there
         g = 2.0
         ks = np.array([-1.0, 0.0, 1.0])
-        xs = -(g ** (2.0 * ks - 1.0)) * (1.0 + 1e-9)
-        from shoreline.simulate import _ratio_at
-        assert float(_ratio_at(g, xs).max()) >= 9.0 - 1e-6
+        magnitudes = g ** (2.0 * ks - 1.0) * (1.0 + 1e-9)
+        assert float(bracket_ratio(g, magnitudes, -1).max()) >= 9.0 - 1e-6
+
+    def test_kernel_matches_scalar_rule(self):
+        # seeded signed targets X = +-gamma^u
+        rng = RandomStream(53)
+        cases = []
+        for _ in range(2000):
+            g = next_uniform(rng, 1.1, 8.0)
+            mag = g ** next_uniform(rng, -6.0, 6.0)
+            cases.append((g, mag if next_uniform(rng) < 0.5 else -mag))
+        # exact turning points gamma^(2k) and -gamma^(2k-1) and the next double
+        # beyond each, where the nudge decides the bracket; only powers that
+        # are exact doubles, so both kernels see the same turning point
+        for g in (1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0):
+            for n in range(-30, 31):
+                turn = g ** n
+                if Fraction(turn) != Fraction(g) ** n:
+                    continue
+                for mag in (turn, math.nextafter(turn, math.inf)):
+                    cases.append((g, mag if n % 2 == 0 else -mag))
+        for g, x in cases:
+            want = travel_distance(Coil(g), x).delta / abs(x)
+            got = float(bracket_ratio(g, abs(x), 0 if x > 0 else -1))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (g, x)
 
     def test_point_budget(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ from shoreline.spiral_geometry import Spiral, arclength, second_contact
 from shoreline.spiral_objectives import (AnglePair, MINMAX_BRACKET, MINMEAN_BRACKET,
                                          erroneous_objective, minimize_minmax,
                                          minimize_minmean, minmax_objective,
-                                         minmax_system_residuals, minmean_objective,
+                                         minmax_system_objective, minmax_system_residuals,
+                                         minmean_objective, minmean_system_objective,
                                          minmean_system_residuals, phi, psi,
                                          solve_minmax_system, solve_minmean_system, xi)
 
@@ -35,6 +36,8 @@ class TestMinmaxObjective:
             pair = angles_for(k)
             assert minmax_objective(k) == pytest.approx(
                 1.0 / (math.sin(pair.alpha) * math.cos(pair.beta)), rel=1e-11)
+            assert minmax_system_objective(pair) == pytest.approx(minmax_objective(k),
+                                                                  rel=1e-11)
 
 
 class TestMinimizeMinmax:
@@ -182,6 +185,7 @@ class TestMinmeanSystem:
                    - (1 / math.cos(a) - 1 / math.cos(b)) / math.tan(a)) \
             / math.sin(a) / TWO_PI
         assert display == pytest.approx(7.0321857865, abs=1e-7)
+        assert minmean_system_objective(pair) == pytest.approx(display, rel=1e-14)
 
     def test_constraint_shared_with_minmax_solution(self):
         # the second equation does not depend on the objective, so the
