@@ -151,6 +151,8 @@ def _cmd_coil(args: argparse.Namespace) -> OutputRecord:
     else:
         if args.gamma is None or args.X is None:
             raise ValueError("coil eval requires --gamma and --X")
+        if not (math.isfinite(args.X) and args.X != 0.0):
+            raise ValueError("--X must be a finite nonzero target")
         coil = Coil(args.gamma)
         hit = travel_distance(coil, args.X)
         rec.parameters = {"gamma": args.gamma, "X": args.X}
@@ -162,6 +164,15 @@ def _cmd_coil(args: argparse.Namespace) -> OutputRecord:
         }
     rec.diagnostics = {"converged": True}
     return rec
+
+
+def _finite_target(x: Optional[float]) -> float:
+    """The simulated target ``--X`` (1 when omitted), which must be finite."""
+    if x is None:
+        return 1.0
+    if not math.isfinite(x):
+        raise ValueError("--X must be a finite target")
+    return x
 
 
 def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
@@ -178,7 +189,7 @@ def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
     elif args.target == "coil":
         if args.gamma is None:
             raise ValueError("simulate coil requires --gamma")
-        x0 = args.X if args.X is not None else 1.0
+        x0 = _finite_target(args.X)
         if x0 <= 0.0:
             raise ValueError("simulate coil requires --X > 0")
         rec.parameters["gamma"] = args.gamma
@@ -193,7 +204,7 @@ def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
     else:
         if args.gamma is None:
             raise ValueError("simulate mixed requires --gamma")
-        x0 = args.X if args.X is not None else 1.0
+        x0 = _finite_target(args.X)
         rec.parameters["gamma"] = args.gamma
         rec.parameters["X"] = x0
         stats = mixed_strategy_sample(args.gamma, x0, cfg)

@@ -9,7 +9,11 @@ reproducible random draws.
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
-holds exactly the values a serial run draws at those positions.
+holds exactly the values a serial run draws at those positions.  The spiral
+Monte Carlo march uses this: it runs over fixed, cache-sized blocks of
+positions, each drawn straight from the stream at its offset, and since
+every sample is marched on its own the results do not depend on the block
+size.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ __all__ = [
 # point instead of to a contact a full turn later.
 _GRAZE_TOL = 1e-9
 
+# Samples marched together by `monte_carlo_mean_arclength`: the working set
+# of one block (about ten arrays of this length) stays in a core's cache.
+_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -52,6 +60,10 @@ class SimConfig:
     large Monte Carlo runs may use a coarser step (0.01-0.02) than the
     single-contact default, near-tangent cases being caught by the grazing
     band and re-resolved at a fine step.
+
+    There is no block-size field: `monte_carlo_mean_arclength` marches its
+    ``samples`` in fixed blocks drawn from the counter stream, and its results
+    do not depend on the block size.
     """
 
     seed: int = 0
@@ -173,6 +185,12 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, march_step: float,
     rotation for the phase), which bisection later replaces with exact
     evaluations.  Grazing-band suspects are handed back to the scalar
     routine at a fine march step.
+
+    Each step writes into preallocated buffers.  A finished row is retired
+    in place (index -1, radius 0, so its distance stays at -1 and it can
+    neither cross nor graze again), and the arrays are compacted only once
+    a quarter of their rows are retired; every live row sees exactly the
+    arithmetic of a march that compacts on every step.
     """
     n = omegas.size
     theta_hit = np.empty(n, dtype=np.float64)
@@ -191,40 +209,52 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, march_step: float,
     if (d_prev >= 0.0).any():
         raise NumericalError("march started on or past the line")
     idx = np.arange(n)
+    live = n
+    d, cos_new, tmp = np.empty(n), np.empty(n), np.empty(n)
+    crossed, graze, done = (np.empty(n, dtype=bool) for _ in range(3))
 
     suspects: List[int] = []
     cross_idx: List[np.ndarray] = []
     cross_hi: List[np.ndarray] = []
     steps = 0
-    while idx.size:
+    while live:
         steps += 1
         if steps > max_steps:
             raise NumericalError("no contact found")
         radial *= growth
-        cos_new = cos_ph * ch - sin_ph * sh
-        sin_ph = sin_ph * ch + cos_ph * sh
-        cos_ph = cos_new
+        np.multiply(cos_ph, ch, out=cos_new)
+        cos_new -= np.multiply(sin_ph, sh, out=tmp)
+        sin_ph *= ch
+        sin_ph += np.multiply(cos_ph, sh, out=tmp)
+        cos_ph, cos_new = cos_new, cos_ph
         theta += h
-        d = radial * cos_ph - 1.0
-        crossed = d >= 0.0
-        graze = (d_prev >= -band) & (d < d_prev) & ~crossed
-        if crossed.any() or graze.any():
+        np.multiply(radial, cos_ph, out=d)
+        d -= 1.0
+        np.greater_equal(d, 0.0, out=crossed)
+        # A live row has d_prev < 0, so a crossing (d >= 0) is never also
+        # a falling graze (d < d_prev).
+        np.greater_equal(d_prev, -band, out=graze)
+        graze &= np.less(d, d_prev, out=done)
+        np.logical_or(crossed, graze, out=done)
+        if done.any():
             if crossed.any():
                 if steps <= guard_steps:
                     raise NumericalError("contact inside the safety margin of the march")
                 cross_idx.append(idx[crossed])
-                cross_hi.append(theta[crossed].copy())
+                cross_hi.append(theta[crossed])
             if graze.any():
                 suspects.extend(idx[graze].tolist())
-            keep = ~(crossed | graze)
-            idx = idx[keep]
-            theta = theta[keep]
-            radial = radial[keep]
-            cos_ph = cos_ph[keep]
-            sin_ph = sin_ph[keep]
-            d_prev = d[keep]
-        else:
-            d_prev = d
+            idx[done] = -1
+            radial[done] = 0.0
+            d[done] = -1.0
+            live -= int(np.count_nonzero(done))
+            if live and 4 * live <= 3 * idx.size:
+                keep = idx >= 0
+                idx, theta, radial = idx[keep], theta[keep], radial[keep]
+                cos_ph, sin_ph, d = cos_ph[keep], sin_ph[keep], d[keep]
+                d_prev, cos_new, tmp = d_prev[:live], cos_new[:live], tmp[:live]
+                crossed, graze, done = crossed[:live], graze[:live], done[:live]
+        d_prev, d = d, d_prev
 
     if cross_idx:
         ci = np.concatenate(cross_idx)
@@ -252,9 +282,12 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     if kappa <= 0.0:
         raise ValueError("require kappa > 0")
     _, omega0 = tangent_contact(Spiral(kappa, 1.0))
-    us = uniform_block(cfg.seed, 0, cfg.samples)
-    omegas = omega0 + math.tau * us
-    hits = _march_first_contacts(kappa, omegas, cfg.march_step, cfg.refine_tol)
+    hits = np.empty(cfg.samples)
+    for start in range(0, cfg.samples, _BLOCK):
+        count = min(_BLOCK, cfg.samples - start)
+        omegas = omega0 + math.tau * uniform_block(cfg.seed, start, count)
+        hits[start:start + count] = _march_first_contacts(kappa, omegas, cfg.march_step,
+                                                          cfg.refine_tol)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
     return summarize(factor * np.exp(kappa * hits))
 

@@ -88,6 +88,12 @@ class TestCoilCommands:
         cp = run_cli("coil", "eval", "--gamma", "2", "--X", "0")
         assert cp.returncode == 2
 
+    @pytest.mark.parametrize("target", ["inf", "-inf", "nan", "0"])
+    def test_eval_invalid_target(self, target, capsys):
+        assert main(["coil", "eval", "--gamma", "2", f"--X={target}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--X" in err
+
 
 class TestSimulateCommands:
     def test_spiral_small(self):
@@ -110,6 +116,13 @@ class TestSimulateCommands:
                                  "-n", "4000", "--seed", "3", "--format", "json").stdout)
         res = rec["results"]
         assert abs(res["z_score"]) <= 3.0
+
+    @pytest.mark.parametrize("target", ["coil", "mixed"])
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_invalid_target(self, target, x, capsys):
+        assert main(["simulate", target, "--gamma", "2", f"--X={x}", "-n", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--X" in err
 
     def test_seed_reproducibility_byte_identical(self):
         a = run_cli("simulate", "mixed", "--gamma", "2", "-n", "10000", "--seed", "42")

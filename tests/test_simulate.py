@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shoreline import golden, simulate
 from shoreline.coil import (Coil, bracket_ratio, mixed_expected_ratio, travel_distance,
                             worst_case_ratio)
 from shoreline.numerics import RandomStream, next_uniform, uniform_block
-from shoreline.simulate import (SampleStats, SimConfig, _march_first_contacts,
+from shoreline.simulate import (_BLOCK, SampleStats, SimConfig, _march_first_contacts,
                                 coil_marching_distance, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
-                                spiral_first_contact)
+                                spiral_first_contact, summarize)
 from shoreline.spiral_geometry import Spiral, second_contact, tangent_contact
 from shoreline.spiral_objectives import minmax_objective, minmean_objective
 
@@ -134,6 +135,41 @@ class TestMonteCarloMeanArclength:
         cfg = SimConfig(seed=5, samples=5_000, march_step=0.02)
         assert monte_carlo_mean_arclength(0.4, cfg) == \
             monte_carlo_mean_arclength(0.4, cfg)
+
+    def test_blocks_match_one_whole_array_march(self, monkeypatch):
+        # The min-max kappa grazes often; seed 1 puts graze suspects in the
+        # second block, so their block-local indices must map back to the
+        # right stream positions.
+        k, seed = golden.MINMAX_KAPPA, 1
+        n = 2 * _BLOCK + 17
+        _, om0 = tangent_contact(Spiral(k, 1.0))
+        omegas = om0 + math.tau * uniform_block(seed, 0, n)
+        fallback = []
+
+        def recording(kappa, omega, cfg):
+            fallback.append(omega)
+            return spiral_first_contact(kappa, omega, cfg)
+
+        monkeypatch.setattr(simulate, "spiral_first_contact", recording)
+        stats = monte_carlo_mean_arclength(k, SimConfig(seed=seed, samples=n,
+                                                        march_step=0.02))
+        monkeypatch.undo()
+        assert (np.flatnonzero(np.isin(omegas, fallback)) >= _BLOCK).any()
+        hits = _march_first_contacts(k, omegas, 0.02, 1e-10)
+        factor = math.sqrt(1.0 + k * k) / k
+        assert stats == summarize(factor * np.exp(k * hits))
+
+    def test_rows_march_independently(self):
+        # Retiring finished rows in place and compacting late must leave
+        # every row as a march of that row alone would: this is what makes
+        # the result independent of the block size.
+        k = golden.MINMAX_KAPPA
+        _, om0 = tangent_contact(Spiral(k, 1.0))
+        omegas = np.append(om0 + math.tau * uniform_block(3, 0, 60), [om0 + 1e-9, om0 + 1e-6])
+        together = _march_first_contacts(k, omegas, 0.02, 1e-10)
+        alone = [_march_first_contacts(k, omegas[i:i + 1], 0.02, 1e-10)[0]
+                 for i in range(omegas.size)]
+        assert np.array_equal(together, alone)
 
     def test_shard_derivation_consistency(self):
         # blocks drawn at offsets concatenate to the serial sequence
