@@ -91,7 +91,7 @@ def _check_minmean_spiral() -> Tuple[bool, str]:
 
 
 def _check_erratum() -> Tuple[bool, str]:
-    report = minimize_scalar(erroneous_objective, Bracket(0.05, 1.0), tol=1e-10)
+    report = minimize_scalar(erroneous_objective, Bracket(0.05, 1.0))
     k = report.root_or_argmin
     value = report.residual_or_value
     true_arc = minmax_objective(k)

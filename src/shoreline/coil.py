@@ -196,8 +196,7 @@ def optimal_minmax_coil() -> Tuple[float, float]:
     Found by bracketed minimization on [1.2, 5] and checked against the
     analytic critical point gamma = 2 of (2g^2 + g - 1)/(g - 1).
     """
-    report = minimize_scalar(lambda g: worst_case_ratio(Coil(g)), Bracket(1.2, 5.0),
-                             tol=1e-10)
+    report = minimize_scalar(lambda g: worst_case_ratio(Coil(g)), Bracket(1.2, 5.0))
     gamma = report.root_or_argmin
     if abs(gamma - 2.0) > 1e-9:
         raise AssertionError(f"minimizer {gamma!r} disagrees with analytic critical point 2")
@@ -272,8 +271,8 @@ def optimal_minmean_coil() -> MeanOptima:
     mean 4.0089813375..., the period-maximum criterion gamma = 3.2232549401...
     with mean 4.8131558458....  Both are returned; neither dominates the
     other a priori."""
-    rmin = minimize_scalar(_ratio_min, Bracket(1.5, 12.0), tol=1e-10)
-    rmax = minimize_scalar(_ratio_max, Bracket(1.5, 12.0), tol=1e-10)
+    rmin = minimize_scalar(_ratio_min, Bracket(1.5, 12.0))
+    rmax = minimize_scalar(_ratio_max, Bracket(1.5, 12.0))
     return MeanOptima(gamma_for_min=rmin.root_or_argmin, mean_min=rmin.residual_or_value,
                       gamma_for_max=rmax.root_or_argmin, mean_max=rmax.residual_or_value)
 
@@ -299,7 +298,7 @@ def optimal_mixed() -> MixedStrategy:
     ``mixed_expected_ratio`` on [1.5, 10].
     """
     gamma = 1.0 / lambert_w0(math.exp(-1.0))
-    report = minimize_scalar(_mixed_ratio, Bracket(1.5, 10.0), tol=1e-10)
+    report = minimize_scalar(_mixed_ratio, Bracket(1.5, 10.0))
     if abs(report.root_or_argmin - gamma) > 1e-9:
         raise AssertionError(
             f"minimizer {report.root_or_argmin!r} disagrees with 1/W(1/e) = {gamma!r}")

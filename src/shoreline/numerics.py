@@ -51,10 +51,6 @@ class Bracket:
         if not self.lo < self.hi:
             raise ValueError("bracket degenerate: require lo < hi")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -142,54 +138,53 @@ def _golden_section(f, lo: float, hi: float, stop_width: float):
     return lo, hi, n
 
 
-def minimize_scalar(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10) -> SolveReport:
+# Argmin width at which `minimize_scalar` stops.
+_ARGMIN_TOL = 1e-10
+
+# Residual max-norm at which `solve_system2` stops.
+_SYSTEM_TOL = 1e-13
+
+
+def minimize_scalar(f: Callable[[float], float], bracket: Bracket) -> SolveReport:
     """Minimize a unimodal ``f`` over ``bracket``.
 
-    Golden-section search narrows the interval; when ``tol`` asks for more
-    accuracy than comparison-based search can deliver (function values near
-    the minimum agree to roundoff), a finishing pass bisects a central
-    difference of ``f`` on the final interval, which recovers nearly full
-    precision in the argmin for smooth objectives.
+    Golden-section search narrows the interval to a few 1e-5 (where function
+    values near the minimum agree to roundoff, so comparisons stop helping);
+    a finishing pass then bisects a central difference of ``f`` on the final
+    interval to a width of 1e-10, which recovers nearly full precision in the
+    argmin for smooth objectives.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lo0, hi0 = bracket.lo, bracket.hi
-    coarse = max(tol, 4e-5 * max(1.0, abs(lo0), abs(hi0)))
-    lo, hi, n_golden = _golden_section(f, lo0, hi0, coarse)
+    lo, hi, iterations = _golden_section(f, lo0, hi0, 4e-5 * max(1.0, abs(lo0), abs(hi0)))
     x = 0.5 * (lo + hi)
-    iterations = n_golden
+    h = 1e-5 * max(1.0, abs(x))
+    a = max(lo0, lo - 4.0 * h)
+    b = min(hi0, hi + 4.0 * h)
 
-    if tol < coarse:
-        h = 1e-5 * max(1.0, abs(x))
-        a = max(lo0, lo - 4.0 * h)
-        b = min(hi0, hi + 4.0 * h)
+    def slope(t: float) -> float:
+        return f(t + h) - f(t - h)
 
-        def slope(t: float) -> float:
-            return f(t + h) - f(t - h)
-
-        ga, gb = slope(a), slope(b)
-        if ga < 0.0 < gb:
-            while b - a > tol:
-                iterations += 1
-                m = 0.5 * (a + b)
-                if not (a < m < b):
-                    break
-                if slope(m) > 0.0:
-                    b = m
-                else:
-                    a = m
-            x = 0.5 * (a + b)
-        # else: the minimum sits against an endpoint (or the objective is
-        # flat to roundoff); the golden-section midpoint is already best.
+    ga, gb = slope(a), slope(b)
+    if ga < 0.0 < gb:
+        while b - a > _ARGMIN_TOL:
+            iterations += 1
+            m = 0.5 * (a + b)
+            if not (a < m < b):
+                break
+            if slope(m) > 0.0:
+                b = m
+            else:
+                a = m
+        x = 0.5 * (a + b)
+    # else: the minimum sits against an endpoint (or the objective is flat
+    # to roundoff); the golden-section midpoint is already best.
     return SolveReport(x, _check_finite(f(x)), iterations, True)
 
 
-def solve_system2(
-    F: Callable[[float, float], Tuple[float, float]],
-    guess: Tuple[float, float],
-    tol: float = 1e-12,
-) -> Tuple[float, float]:
-    """Solve the 2-D system F(x, y) = (0, 0) by damped Newton iteration.
+def solve_system2(F: Callable[[float, float], Tuple[float, float]],
+                  guess: Tuple[float, float]) -> Tuple[float, float]:
+    """Solve the 2-D system F(x, y) = (0, 0) by damped Newton iteration to a
+    residual max-norm of 1e-13.
 
     The Jacobian is forward finite differences with step max(1e-7, 1e-7|x|);
     when a full Newton step does not reduce the residual max-norm it is
@@ -202,7 +197,7 @@ def solve_system2(
         r0 = max(abs(fx), abs(fy))
         if not math.isfinite(r0):
             raise NumericalError("non-finite evaluation")
-        if r0 <= tol:
+        if r0 <= _SYSTEM_TOL:
             return x, y
         hx = max(1e-7, 1e-7 * abs(x))
         hy = max(1e-7, 1e-7 * abs(y))

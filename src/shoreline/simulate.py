@@ -44,6 +44,9 @@ __all__ = [
 # point instead of to a contact a full turn later.
 _GRAZE_TOL = 1e-9
 
+# Bisection stops once the bracket around a contact angle is this narrow.
+_REFINE_TOL = 1e-10
+
 # Samples marched together by `monte_carlo_mean_arclength`: the working set
 # of one block (about ten arrays of this length) stays in a core's cache.
 _BLOCK = 16384
@@ -55,29 +58,22 @@ class SimConfig:
 
     ``march_step`` is in radians for the spiral march (t-units are not
     needed: coil marching is segment-exact).  The bisection refinement makes
-    the final contact angle accurate to ``refine_tol`` regardless of the
-    march step; the step only controls how finely crossings are scouted, so
-    large Monte Carlo runs may use a coarser step (0.01-0.02) than the
-    single-contact default, near-tangent cases being caught by the grazing
-    band and re-resolved at a fine step.
-
-    There is no block-size field: `monte_carlo_mean_arclength` marches its
-    ``samples`` in fixed blocks drawn from the counter stream, and its results
-    do not depend on the block size.
+    the final contact angle accurate to 1e-10 regardless of the march step;
+    the step only controls how finely crossings are scouted, so large Monte
+    Carlo runs may use a coarser step (0.01-0.02) than the single-contact
+    default, near-tangent cases being caught by the grazing band and
+    re-marched by the scalar routine at the same step.
     """
 
     seed: int = 0
     samples: int = 100_000
     march_step: float = 1e-3
-    refine_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if not (math.isfinite(self.march_step) and self.march_step > 0.0):
             raise ValueError("march_step must be positive")
-        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0.0):
-            raise ValueError("refine_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,9 +106,9 @@ def _signed_distance(kappa: float, omega: float, theta: float) -> float:
     return math.exp(kappa * theta) * math.cos(theta - omega) - 1.0
 
 
-def _bisect_contact(kappa: float, omega: float, lo: float, hi: float, tol: float) -> float:
+def _bisect_contact(kappa: float, omega: float, lo: float, hi: float) -> float:
     # invariant: d(lo) < 0 <= d(hi)
-    while hi - lo > tol:
+    while hi - lo > _REFINE_TOL:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
@@ -136,10 +132,10 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
 
     Marches theta upward from min(0, omega) - 2*pi in steps of
     ``cfg.march_step`` watching the signed distance d(theta); the first sign
-    change is bisected to ``cfg.refine_tol``.  A marched local maximum of d
-    inside the grazing band (width ~ |d''| * step^2) is refined by
-    golden-section search: if the refined peak is positive the left crossing
-    of the narrow excursion is bisected; if it is within _GRAZE_TOL of zero
+    change is bisected to _REFINE_TOL.  A marched local maximum of d inside
+    the grazing band (width ~ |d''| * step^2) is refined by golden-section
+    search: if the refined peak is positive the left crossing of the
+    narrow excursion is bisected; if it is within _GRAZE_TOL of zero
     the contact is tangential and the peak itself is returned (accurate to
     ~1e-6 at an exact double root, where transversal refinement is
     impossible); otherwise the near miss is real and the march continues.
@@ -163,12 +159,12 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
         if d2 >= 0.0:
             if theta2 <= guard_end:
                 raise NumericalError("contact inside the safety margin of the march")
-            hit = _bisect_contact(kappa, omega, theta, theta2, cfg.refine_tol)
+            hit = _bisect_contact(kappa, omega, theta, theta2)
             return hit, arclength(kappa, hit)
         if d >= -band and d2 < d:
             peak, d_peak = _refine_local_max(kappa, omega, theta - h, theta2)
             if d_peak > 0.0:
-                hit = _bisect_contact(kappa, omega, theta - h, peak, cfg.refine_tol)
+                hit = _bisect_contact(kappa, omega, theta - h, peak)
                 return hit, arclength(kappa, hit)
             if d_peak >= -_GRAZE_TOL:
                 return peak, arclength(kappa, peak)
@@ -176,15 +172,14 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     raise NumericalError("no contact found")
 
 
-def _march_first_contacts(kappa: float, omegas: np.ndarray, march_step: float,
-                          refine_tol: float) -> np.ndarray:
+def _march_first_contacts(kappa: float, omegas: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Vectorized version of the `spiral_first_contact` march.
 
     Same grid and the same detection rules; exp/cos along the march are
     advanced by per-step recurrences (one scalar factor for the radius, one
     rotation for the phase), which bisection later replaces with exact
     evaluations.  Grazing-band suspects are handed back to the scalar
-    routine at a fine march step.
+    routine, which re-marches each one at the same ``cfg.march_step``.
 
     Each step writes into preallocated buffers.  A finished row is retired
     in place (index -1, radius 0, so its distance stays at -1 and it can
@@ -194,7 +189,7 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, march_step: float,
     """
     n = omegas.size
     theta_hit = np.empty(n, dtype=np.float64)
-    h = march_step
+    h = cfg.march_step
     band = (1.0 + kappa * kappa) ** 1.5 * h * h
     growth = math.exp(kappa * h)
     ch, sh = math.cos(h), math.sin(h)
@@ -261,18 +256,15 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, march_step: float,
         hi = np.concatenate(cross_hi)
         lo = hi - h
         om = omegas[ci]
-        for _ in range(max(1, int(math.ceil(math.log2(h / refine_tol))))):
+        for _ in range(max(1, int(math.ceil(math.log2(h / _REFINE_TOL))))):
             mid = 0.5 * (lo + hi)
             on_or_past = np.exp(kappa * mid) * np.cos(mid - om) - 1.0 >= 0.0
             hi = np.where(on_or_past, mid, hi)
             lo = np.where(on_or_past, lo, mid)
         theta_hit[ci] = 0.5 * (lo + hi)
 
-    if suspects:
-        fine = SimConfig(seed=0, samples=1, march_step=min(march_step, 1e-3),
-                         refine_tol=refine_tol)
-        for s in suspects:
-            theta_hit[s] = spiral_first_contact(kappa, float(omegas[s]), fine)[0]
+    for s in suspects:
+        theta_hit[s] = spiral_first_contact(kappa, float(omegas[s]), cfg)[0]
     return theta_hit
 
 
@@ -286,8 +278,7 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     for start in range(0, cfg.samples, _BLOCK):
         count = min(_BLOCK, cfg.samples - start)
         omegas = omega0 + math.tau * uniform_block(cfg.seed, start, count)
-        hits[start:start + count] = _march_first_contacts(kappa, omegas, cfg.march_step,
-                                                          cfg.refine_tol)
+        hits[start:start + count] = _march_first_contacts(kappa, omegas, cfg)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
     return summarize(factor * np.exp(kappa * hits))
 

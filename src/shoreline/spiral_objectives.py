@@ -140,12 +140,12 @@ def _optimum_from(kappa_report: SolveReport) -> Optimum:
 
 def minimize_minmax() -> Optimum:
     """Minimize the worst-case arclength over kappa in [0.05, 1.0]."""
-    return _optimum_from(minimize_scalar(minmax_objective, MINMAX_BRACKET, tol=1e-10))
+    return _optimum_from(minimize_scalar(minmax_objective, MINMAX_BRACKET))
 
 
 def minimize_minmean() -> Optimum:
     """Minimize the mean arclength over kappa in [0.1, 1.0]."""
-    return _optimum_from(minimize_scalar(minmean_objective, MINMEAN_BRACKET, tol=1e-10))
+    return _optimum_from(minimize_scalar(minmean_objective, MINMEAN_BRACKET))
 
 
 def minmax_system_residuals(pair: AnglePair) -> Tuple[float, float]:
@@ -180,11 +180,11 @@ MINMAX_GUESS = AnglePair(0.2, 1.2)
 MINMEAN_GUESS = AnglePair(0.36, 1.1)
 
 
-def solve_minmax_system(guess: AnglePair = MINMAX_GUESS) -> AnglePair:
-    """Solve the min-max angle system by damped Newton iteration."""
-    a, b = solve_system2(
-        lambda x, y: minmax_system_residuals(AnglePair(x, y)), (guess.alpha, guess.beta),
-        tol=1e-13)
+def solve_minmax_system() -> AnglePair:
+    """Solve the min-max angle system by damped Newton iteration from
+    ``MINMAX_GUESS``."""
+    a, b = solve_system2(lambda x, y: minmax_system_residuals(AnglePair(x, y)),
+                         (MINMAX_GUESS.alpha, MINMAX_GUESS.beta))
     return AnglePair(a, b)
 
 
@@ -235,12 +235,13 @@ def minmean_system_objective(pair: AnglePair) -> float:
     return w / math.sin(a) / math.tau
 
 
-def solve_minmean_system(guess: AnglePair = MINMEAN_GUESS) -> AnglePair:
-    """Solve the min-mean angle system by damped Newton iteration."""
+def solve_minmean_system() -> AnglePair:
+    """Solve the min-mean angle system by damped Newton iteration from
+    ``MINMEAN_GUESS``."""
     def residuals(x: float, y: float) -> Tuple[float, float]:
         if not (0.0 < x < 0.5 * math.pi and 0.0 < y < 0.5 * math.pi):
             raise ValueError("outside angle domain")
         return minmean_system_residuals(AnglePair(x, y))
 
-    a, b = solve_system2(residuals, (guess.alpha, guess.beta), tol=1e-13)
+    a, b = solve_system2(residuals, (MINMEAN_GUESS.alpha, MINMEAN_GUESS.beta))
     return AnglePair(a, b)

@@ -118,11 +118,19 @@ class TestSimulateCommands:
         assert abs(res["z_score"]) <= 3.0
 
     @pytest.mark.parametrize("target", ["coil", "mixed"])
-    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan", "-1", "0"])
     def test_invalid_target(self, target, x, capsys):
         assert main(["simulate", target, "--gamma", "2", f"--X={x}", "-n", "10"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--X" in err
+
+    def test_no_hard_coded_diagnostics(self, capsys):
+        # only a measured diagnostic is printed; these commands measure none
+        for argv in (["coil", "eval", "--gamma", "2", "--X", "3"],
+                     ["simulate", "mixed", "--gamma", "2", "-n", "100"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("command = ") and "diag." not in out
 
     def test_seed_reproducibility_byte_identical(self):
         a = run_cli("simulate", "mixed", "--gamma", "2", "-n", "10000", "--seed", "42")

@@ -17,7 +17,8 @@ from shoreline.spiral_objectives import minmax_objective, minmean_objective
 
 TWO_PI = 2.0 * math.pi
 
-CFG = SimConfig(seed=0, samples=1, march_step=1e-3, refine_tol=1e-10)
+CFG = SimConfig(seed=0, samples=1, march_step=1e-3)
+MC_CFG = SimConfig(march_step=0.02)
 
 
 class TestSpiralFirstContact:
@@ -76,10 +77,9 @@ class TestSpiralFirstContact:
         k = 0.5
         _, om0 = tangent_contact(Spiral(k, 1.0))
         h = 1e-5
-        cfg = SimConfig(seed=0, samples=1, march_step=1e-3, refine_tol=1e-12)
 
         def sim(w):
-            return spiral_first_contact(k, w, cfg)[0]
+            return spiral_first_contact(k, w, CFG)[0]
 
         for w, sign in [(2.0, +1.0), (4.0, +1.0), (om0 + 0.05, -1.0)]:
             fd = (sim(w + h) - sim(w - h)) / (2.0 * h)
@@ -98,18 +98,29 @@ class TestVectorizedMarch:
         _, om0 = tangent_contact(Spiral(k, 1.0))
         rng = RandomStream(77)
         omegas = np.array([next_uniform(rng, om0, om0 + TWO_PI) for _ in range(300)])
-        vec = _march_first_contacts(k, omegas, 0.02, 1e-10)
+        vec = _march_first_contacts(k, omegas, MC_CFG)
         for i, w in enumerate(omegas):
-            scalar = spiral_first_contact(k, float(w), SimConfig(
-                seed=0, samples=1, march_step=0.02, refine_tol=1e-10))[0]
+            scalar = spiral_first_contact(k, float(w), MC_CFG)[0]
             assert vec[i] == pytest.approx(scalar, abs=1e-9)
 
-    def test_covers_graze_fallback(self):
-        # omegas straddling the tangency exercise the suspect path
+    def test_covers_graze_fallback(self, monkeypatch):
+        # omegas straddling the tangency exercise the suspect path; each
+        # suspect is the scalar march of its row at the run's own step
         k = 0.5
         th0, om0 = tangent_contact(Spiral(k, 1.0))
         omegas = np.array([om0, om0 + 1e-9, om0 + 1e-7, om0 + 1e-4, om0 + 0.3])
-        vec = _march_first_contacts(k, omegas, 0.02, 1e-10)
+        suspects = []
+
+        def recording(kappa, omega, cfg):
+            suspects.append(omega)
+            return spiral_first_contact(kappa, omega, cfg)
+
+        monkeypatch.setattr(simulate, "spiral_first_contact", recording)
+        vec = _march_first_contacts(k, omegas, MC_CFG)
+        monkeypatch.undo()
+        assert om0 in suspects
+        for i in np.flatnonzero(np.isin(omegas, suspects)):
+            assert vec[i] == spiral_first_contact(k, float(omegas[i]), MC_CFG)[0]
         assert vec[0] == pytest.approx(th0, abs=1e-6)
         assert vec[1] == pytest.approx(th0, abs=1e-3)
         assert (vec <= th0 + 1e-3).all()
@@ -147,6 +158,7 @@ class TestMonteCarloMeanArclength:
         fallback = []
 
         def recording(kappa, omega, cfg):
+            assert cfg.march_step == 0.02
             fallback.append(omega)
             return spiral_first_contact(kappa, omega, cfg)
 
@@ -155,7 +167,7 @@ class TestMonteCarloMeanArclength:
                                                         march_step=0.02))
         monkeypatch.undo()
         assert (np.flatnonzero(np.isin(omegas, fallback)) >= _BLOCK).any()
-        hits = _march_first_contacts(k, omegas, 0.02, 1e-10)
+        hits = _march_first_contacts(k, omegas, MC_CFG)
         factor = math.sqrt(1.0 + k * k) / k
         assert stats == summarize(factor * np.exp(k * hits))
 
@@ -166,8 +178,8 @@ class TestMonteCarloMeanArclength:
         k = golden.MINMAX_KAPPA
         _, om0 = tangent_contact(Spiral(k, 1.0))
         omegas = np.append(om0 + math.tau * uniform_block(3, 0, 60), [om0 + 1e-9, om0 + 1e-6])
-        together = _march_first_contacts(k, omegas, 0.02, 1e-10)
-        alone = [_march_first_contacts(k, omegas[i:i + 1], 0.02, 1e-10)[0]
+        together = _march_first_contacts(k, omegas, MC_CFG)
+        alone = [_march_first_contacts(k, omegas[i:i + 1], MC_CFG)[0]
                  for i in range(omegas.size)]
         assert np.array_equal(together, alone)
 
@@ -291,5 +303,3 @@ class TestSampleStats:
             SimConfig(seed=1, samples=0)
         with pytest.raises(ValueError):
             SimConfig(seed=1, samples=10, march_step=-0.1)
-        with pytest.raises(ValueError):
-            SimConfig(seed=1, samples=10, refine_tol=0.0)
