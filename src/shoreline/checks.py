@@ -40,10 +40,6 @@ class CheckResult:
     seconds: float
 
 
-def _ok(conds) -> bool:
-    return all(bool(c) for c in conds)
-
-
 def _check_minmax_spiral() -> Tuple[bool, str]:
     t0 = time.perf_counter()
     opt = minimize_minmax()
@@ -56,7 +52,7 @@ def _check_minmax_spiral() -> Tuple[bool, str]:
     ]
     detail = (f"kappa={opt.kappa:.10f} objective={opt.objective_value:.10f} "
               f"exp(kappa)={math.exp(opt.kappa):.10f} runtime={elapsed:.2f}s")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_minmax_system() -> Tuple[bool, str]:
@@ -72,7 +68,7 @@ def _check_minmax_system() -> Tuple[bool, str]:
     ]
     detail = (f"residuals=({r1:.2e}, {r2:.2e}) tan(alpha)={math.tan(pair.alpha):.10f} "
               f"csc*sec={sys_obj:.10f}")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_minmean_spiral() -> Tuple[bool, str]:
@@ -87,7 +83,7 @@ def _check_minmean_spiral() -> Tuple[bool, str]:
     detail = (f"kappa={opt.kappa:.10f} objective={opt.objective_value:.10f} "
               f"exp(kappa)={math.exp(opt.kappa):.10f} system tan(alpha)="
               f"{math.tan(pair.alpha):.10f}")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_erratum() -> Tuple[bool, str]:
@@ -102,7 +98,7 @@ def _check_erratum() -> Tuple[bool, str]:
              abs(value - golden.ERRONEOUS_VALUE) <= 1e-2]
     detail = (f"argmin={k:.10f} erroneous-minimum={value:.10f} "
               f"(true arclength there {true_arc:.4f})")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_monte_carlo_spiral() -> Tuple[bool, str]:
@@ -115,7 +111,7 @@ def _check_monte_carlo_spiral() -> Tuple[bool, str]:
     conds = [gap <= 3.0 * stats.std_error, elapsed < 60.0]
     detail = (f"mean={stats.mean:.6f} se={stats.std_error:.6f} "
               f"z={gap / stats.std_error:+.2f} n={stats.n} runtime={elapsed:.1f}s")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_coil_minmax() -> Tuple[bool, str]:
@@ -127,7 +123,7 @@ def _check_coil_minmax() -> Tuple[bool, str]:
              scanned >= golden.COIL_MINMAX_RATIO - 1e-6,
              scanned <= golden.COIL_MINMAX_RATIO + 1e-12]
     detail = f"gamma={gamma:.12f} ratio={ratio:.12f} scan={scanned:.9f}"
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_coil_points() -> Tuple[bool, str]:
@@ -142,7 +138,7 @@ def _check_coil_points() -> Tuple[bool, str]:
              abs(m_plus - d_plus) <= 1e-12,
              abs(m_minus - d_minus) <= 1e-12]
     detail = f"delta(1)={d_plus} delta(-1)={d_minus} marching=({m_plus}, {m_minus})"
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_ratio_extrema() -> Tuple[bool, str]:
@@ -158,7 +154,7 @@ def _check_ratio_extrema() -> Tuple[bool, str]:
     ]
     detail = (f"closed=({ext.min_value:.12f}, {ext.max_value:.12f}) "
               f"scan=({scan_min:.9f}, {scan_max:.9f})")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_coil_minmean() -> Tuple[bool, str]:
@@ -169,7 +165,7 @@ def _check_coil_minmean() -> Tuple[bool, str]:
              abs(opt.mean_max - golden.COIL_MEAN_MAX) <= 1e-8]
     detail = (f"period-min: ({opt.gamma_for_min:.10f}, {opt.mean_min:.10f}) "
               f"period-max: ({opt.gamma_for_max:.10f}, {opt.mean_max:.10f})")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_mixed() -> Tuple[bool, str]:
@@ -181,7 +177,7 @@ def _check_mixed() -> Tuple[bool, str]:
              gap <= 3.0 * stats.std_error]
     detail = (f"gamma={strat.gamma:.12f} sampled mean={stats.mean:.6f} "
               f"z={gap / stats.std_error:+.2f}")
-    return _ok(conds), detail
+    return all(conds), detail
 
 
 def _check_property_suites() -> Tuple[bool, str]:

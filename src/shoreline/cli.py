@@ -70,6 +70,9 @@ def _fmt_csv(value: object) -> str:
 
 
 def emit(record: OutputRecord, fmt: str) -> str:
+    bad = [k for k, v in record.results.items() if not math.isfinite(v)]
+    if bad:
+        raise NumericalError(f"non-finite result: {', '.join(bad)}")
     if fmt == "json":
         return json.dumps(record.to_dict(), sort_keys=True)
     if fmt == "csv":
@@ -336,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, AssertionError) as exc:
+    except (NumericalError, AssertionError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

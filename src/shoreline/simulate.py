@@ -7,6 +7,11 @@ walking the zig-zag segments and solving each linear piece exactly; the
 Monte Carlo drivers average those primitive measurements over seeded,
 reproducible random draws.
 
+The scalar reference march and the vectorized Monte Carlo march share one
+grid (`_march_grid`) and one contact bisection (`_bisect_contacts`); the
+vectorized march hands its graze suspects, and rows whose start radius
+underflows, to the scalar one.
+
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
 holds exactly the values a serial run draws at those positions.  The spiral
@@ -106,16 +111,22 @@ def _signed_distance(kappa: float, omega: float, theta: float) -> float:
     return math.exp(kappa * theta) * math.cos(theta - omega) - 1.0
 
 
-def _bisect_contact(kappa: float, omega: float, lo: float, hi: float) -> float:
-    # invariant: d(lo) < 0 <= d(hi)
-    while hi - lo > _REFINE_TOL:
+def _march_grid(kappa: float, h: float) -> Tuple[float, int, int]:
+    """Grazing band (~ |d''| * h^2), guard step count (half a turn: a
+    crossing there means a bad start) and step cap (four turns) at step h."""
+    band = (1.0 + kappa * kappa) ** 1.5 * h * h
+    return band, int(math.ceil(math.pi / h)), int(math.ceil(8.0 * math.pi / h))
+
+
+def _bisect_contacts(kappa: float, omegas, lo, hi):
+    """Contact angles in the brackets [lo, hi], d(lo) < 0 <= d(hi), elementwise;
+    every row takes the widest bracket's ceil(log2(width / _REFINE_TOL)) steps."""
+    width = float(np.max(hi - lo))
+    for _ in range(max(0, math.ceil(math.log2(width / _REFINE_TOL)))):
         mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if _signed_distance(kappa, omega, mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        on_or_past = np.exp(kappa * mid) * np.cos(mid - omegas) - 1.0 >= 0.0
+        hi = np.where(on_or_past, mid, hi)
+        lo = np.where(on_or_past, lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -130,10 +141,10 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     """First contact of the spiral with the line tangent to the unit circle
     at angle ``omega``, by trajectory marching.
 
-    Marches theta upward from min(0, omega) - 2*pi in steps of
-    ``cfg.march_step`` watching the signed distance d(theta); the first sign
-    change is bisected to _REFINE_TOL.  A marched local maximum of d inside
-    the grazing band (width ~ |d''| * step^2) is refined by golden-section
+    Marches theta upward from min(0, omega) - 2*pi on the `_march_grid` of
+    ``cfg.march_step``, evaluating the signed distance d(theta) exactly; the
+    first sign change is bisected by `_bisect_contacts`.  A marched local
+    maximum of d inside the grazing band is refined by golden-section
     search: if the refined peak is positive the left crossing of the
     narrow excursion is bisected; if it is within _GRAZE_TOL of zero
     the contact is tangential and the peak itself is returned (accurate to
@@ -145,26 +156,23 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     if kappa <= 0.0:
         raise ValueError("require kappa > 0")
     h = cfg.march_step
-    band = (1.0 + kappa * kappa) ** 1.5 * h * h
-    theta_start = min(0.0, omega) - math.tau
-    guard_end = theta_start + math.pi
-    limit = theta_start + 8.0 * math.pi
-    theta = theta_start
+    band, guard_steps, max_steps = _march_grid(kappa, h)
+    theta = min(0.0, omega) - math.tau
     d = _signed_distance(kappa, omega, theta)
     if d >= 0.0:
         raise NumericalError("march started on or past the line")
-    while theta < limit:
+    for step in range(1, max_steps + 1):
         theta2 = theta + h
         d2 = _signed_distance(kappa, omega, theta2)
         if d2 >= 0.0:
-            if theta2 <= guard_end:
+            if step <= guard_steps:
                 raise NumericalError("contact inside the safety margin of the march")
-            hit = _bisect_contact(kappa, omega, theta, theta2)
+            hit = float(_bisect_contacts(kappa, omega, theta, theta2))
             return hit, arclength(kappa, hit)
         if d >= -band and d2 < d:
             peak, d_peak = _refine_local_max(kappa, omega, theta - h, theta2)
             if d_peak > 0.0:
-                hit = _bisect_contact(kappa, omega, theta - h, peak)
+                hit = float(_bisect_contacts(kappa, omega, theta - h, peak))
                 return hit, arclength(kappa, hit)
             if d_peak >= -_GRAZE_TOL:
                 return peak, arclength(kappa, peak)
@@ -175,11 +183,12 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
 def _march_first_contacts(kappa: float, omegas: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Vectorized version of the `spiral_first_contact` march.
 
-    Same grid and the same detection rules; exp/cos along the march are
+    Same `_march_grid` and crossing rule; exp/cos along the march are
     advanced by per-step recurrences (one scalar factor for the radius, one
-    rotation for the phase), which bisection later replaces with exact
-    evaluations.  Grazing-band suspects are handed back to the scalar
-    routine, which re-marches each one at the same ``cfg.march_step``.
+    rotation for the phase), and `_bisect_contacts` refines all crossings
+    in one call.  Grazing-band suspects, and rows whose start radius is
+    subnormal or zero (the recurrence would keep it so), are handed back to
+    the scalar routine, which re-marches each one at the same step.
 
     Each step writes into preallocated buffers.  A finished row is retired
     in place (index -1, radius 0, so its distance stays at -1 and it can
@@ -190,11 +199,9 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, cfg: SimConfig) -> n
     n = omegas.size
     theta_hit = np.empty(n, dtype=np.float64)
     h = cfg.march_step
-    band = (1.0 + kappa * kappa) ** 1.5 * h * h
+    band, guard_steps, max_steps = _march_grid(kappa, h)
     growth = math.exp(kappa * h)
     ch, sh = math.cos(h), math.sin(h)
-    guard_steps = int(math.ceil(math.pi / h))
-    max_steps = int(math.ceil(8.0 * math.pi / h))
 
     theta = np.minimum(0.0, omegas) - math.tau
     radial = np.exp(kappa * theta)
@@ -204,11 +211,13 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, cfg: SimConfig) -> n
     if (d_prev >= 0.0).any():
         raise NumericalError("march started on or past the line")
     idx = np.arange(n)
-    live = n
+    suspects: List[int] = np.flatnonzero(radial < np.finfo(float).tiny).tolist()
+    idx[suspects] = -1
+    radial[suspects] = 0.0
+    live = n - len(suspects)
     d, cos_new, tmp = np.empty(n), np.empty(n), np.empty(n)
     crossed, graze, done = (np.empty(n, dtype=bool) for _ in range(3))
 
-    suspects: List[int] = []
     cross_idx: List[np.ndarray] = []
     cross_hi: List[np.ndarray] = []
     steps = 0
@@ -254,14 +263,7 @@ def _march_first_contacts(kappa: float, omegas: np.ndarray, cfg: SimConfig) -> n
     if cross_idx:
         ci = np.concatenate(cross_idx)
         hi = np.concatenate(cross_hi)
-        lo = hi - h
-        om = omegas[ci]
-        for _ in range(max(1, int(math.ceil(math.log2(h / _REFINE_TOL))))):
-            mid = 0.5 * (lo + hi)
-            on_or_past = np.exp(kappa * mid) * np.cos(mid - om) - 1.0 >= 0.0
-            hi = np.where(on_or_past, mid, hi)
-            lo = np.where(on_or_past, lo, mid)
-        theta_hit[ci] = 0.5 * (lo + hi)
+        theta_hit[ci] = _bisect_contacts(kappa, omegas[ci], hi - h, hi)
 
     for s in suspects:
         theta_hit[s] = spiral_first_contact(kappa, float(omegas[s]), cfg)[0]

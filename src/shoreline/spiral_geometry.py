@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .numerics import Bracket, find_root
+from .numerics import Bracket, NumericalError, find_root
 
 __all__ = [
     "Spiral",
     "LineGeneral",
     "TangentContact",
     "line_distance_to_origin",
-    "circle_tangent_radius",
     "spiral_tangent_slope",
     "tangent_contact",
     "second_contact",
@@ -75,18 +74,6 @@ def line_distance_to_origin(line: LineGeneral) -> float:
     return abs(line.c) / math.hypot(line.a, line.b)
 
 
-def circle_tangent_radius(R: float, omega: float, theta: float) -> float:
-    """Polar radius r(theta) of the line tangent to the radius-R circle at
-    polar angle ``omega``: r = R * sec(theta - omega).
-
-    Only the half-plane cos(theta - omega) > 0 belongs to the line.
-    """
-    c = math.cos(theta - omega)
-    if c <= 0.0:
-        raise ValueError("angle outside line's half-plane")
-    return R / c
-
-
 def spiral_tangent_slope(kappa: float, theta: float) -> float:
     """Slope of the spiral's tangent line at parameter ``theta``.
 
@@ -138,7 +125,7 @@ def second_contact(spiral: Spiral) -> TangentContact:
     f_lo = _offset_line_residual(k, R, omega0, lo)
     f_hi = _offset_line_residual(k, R, omega0, hi)
     if not (f_lo < 0.0 < f_hi):
-        raise ValueError(
+        raise NumericalError(
             "second-contact bracket sign conditions violated for "
             f"kappa={k!r}, radius={R!r}")
     report = find_root(lambda th: _offset_line_residual(k, R, omega0, th),

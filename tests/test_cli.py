@@ -139,6 +139,19 @@ class TestSimulateCommands:
         assert a.returncode == b.returncode == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["spiral", "eval", "--kappa", "1000"],
+    ["spiral", "eval", "--kappa", "5", "--R", "1e300"],
+    ["spiral", "eval", "--kappa", "30", "--R", "1e-300"],
+    ["coil", "eval", "--gamma", "1.000000001", "--X", "1e300"],
+])
+def test_domain_edge_is_numerical_failure(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure:")
+    assert "Traceback" not in err
+
+
 class TestPlotData:
     def test_delta_ratio_bounds(self, tmp_path: Path):
         out = tmp_path / "ratio.csv"

@@ -8,7 +8,8 @@ from shoreline import golden, simulate
 from shoreline.coil import (Coil, bracket_ratio, mixed_expected_ratio, travel_distance,
                             worst_case_ratio)
 from shoreline.numerics import RandomStream, next_uniform, uniform_block
-from shoreline.simulate import (_BLOCK, SampleStats, SimConfig, _march_first_contacts,
+from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
+                                _bisect_contacts, _march_first_contacts,
                                 coil_marching_distance, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact, summarize)
@@ -124,6 +125,42 @@ class TestVectorizedMarch:
         assert vec[0] == pytest.approx(th0, abs=1e-6)
         assert vec[1] == pytest.approx(th0, abs=1e-3)
         assert (vec <= th0 + 1e-3).all()
+
+
+    @pytest.mark.parametrize("k", [100.0, 150.0])
+    def test_underflowing_start_radius_matches_scalar(self, k):
+        # the start radius e^(k*theta) underflows for some rows at k = 100
+        # and for every row at k = 150; those rows go to the scalar march
+        _, om0 = tangent_contact(Spiral(k, 1.0))
+        omegas = om0 + TWO_PI * uniform_block(41, 0, 300)
+        vec = _march_first_contacts(k, omegas, MC_CFG)
+        scalar = [spiral_first_contact(k, float(w), MC_CFG)[0] for w in omegas]
+        assert (vec == scalar).all()
+
+
+class TestBisectContacts:
+    def test_array_matches_scalars_and_ends_at_a_sign_change(self):
+        # width-h brackets are march crossings; a graze bracket runs from one
+        # step before the falling step to the refined peak, up to 2h wide
+        h = 0.02
+        for k in (golden.MINMAX_KAPPA, 0.5, 1.3):
+            _, om0 = tangent_contact(Spiral(k, 1.0))
+            omegas = om0 + TWO_PI * uniform_block(31, 0, 50)
+            hi = np.empty(omegas.size)
+            for i, w in enumerate(omegas):
+                grid = min(0.0, w) - TWO_PI + h * np.arange(int(8.0 * math.pi / h))
+                hi[i] = grid[np.argmax(np.exp(k * grid) * np.cos(grid - w) >= 1.0)]
+            mixed = np.where(np.arange(omegas.size) % 2 == 0, hi - h, hi - 2.0 * h)
+            for lo in (hi - h, hi - 2.0 * h, mixed):
+                hits = _bisect_contacts(k, omegas, lo, hi)
+                for w, a, b, t in zip(omegas, lo, hi, hits):
+                    if lo is not mixed:
+                        assert _bisect_contacts(k, float(w), float(a), float(b)) == t
+                    # every bracket ends at most _REFINE_TOL wide, the widest
+                    # one's step count included
+                    d = [math.exp(k * x) * math.cos(x - w) - 1.0
+                         for x in (t - 0.5 * _REFINE_TOL, t + 0.5 * _REFINE_TOL)]
+                    assert d[0] < 0.0 <= d[1]
 
 
 class TestMonteCarloMeanArclength:

@@ -5,9 +5,9 @@ import pytest
 
 from shoreline.numerics import RandomStream, integrate, next_uniform
 from shoreline.spiral_geometry import (LineGeneral, Spiral, TangentContact, arclength,
-                                       circle_tangent_radius, line_distance_to_origin,
-                                       scale_theta1, second_contact,
-                                       spiral_tangent_slope, tangent_contact)
+                                       line_distance_to_origin, scale_theta1,
+                                       second_contact, spiral_tangent_slope,
+                                       tangent_contact)
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,28 +32,6 @@ class TestLineDistance:
     def test_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             LineGeneral(0.0, 0.0, 1.0)
-
-
-class TestCircleTangentRadius:
-    def test_tangency_point(self):
-        assert circle_tangent_radius(1.0, 0.0, 0.0) == 1.0
-
-    def test_sixty_degrees(self):
-        assert circle_tangent_radius(1.0, 0.0, math.pi / 3.0) == pytest.approx(2.0)
-
-    def test_rectangular_construction(self):
-        # oracle: build the tangent line in rectangular coordinates
-        # y = R sin(w) - cot(w) (x - R cos(w)) and read its polar radius
-        R, w, th = 2.0, 1.0, 1.5
-        r = R * (math.sin(w) + math.cos(w) / math.tan(w)) / (
-            math.sin(th) + math.cos(th) / math.tan(w))
-        assert circle_tangent_radius(R, w, th) == pytest.approx(r, rel=1e-13)
-        assert circle_tangent_radius(R, w, th) == pytest.approx(2.0 / math.cos(0.5),
-                                                                rel=1e-13)
-
-    def test_half_plane(self):
-        with pytest.raises(ValueError, match="half-plane"):
-            circle_tangent_radius(1.0, 0.0, 2.0)
 
 
 class TestSpiralTangentSlope:
