@@ -19,8 +19,8 @@ from . import golden
 from .coil import (Coil, average_ratio, optimal_minmax_coil, optimal_minmean_coil,
                    optimal_mixed, ratio_extrema, travel_distance)
 from .numerics import Bracket, RandomStream, minimize_scalar, next_uniform, uniform_block
-from .simulate import (SimConfig, coil_marching_distance, mixed_strategy_sample,
-                       monte_carlo_mean_arclength)
+from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, coil_marching_distance,
+                       mixed_strategy_sample, monte_carlo_mean_arclength, spiral_first_contact)
 from .spiral_geometry import (LineGeneral, Spiral, line_distance_to_origin, second_contact,
                               scale_theta1, spiral_tangent_slope)
 from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
@@ -102,8 +102,7 @@ def _check_erratum() -> Tuple[bool, str]:
 
 
 def _check_monte_carlo_spiral() -> Tuple[bool, str]:
-    cfg = SimConfig(seed=golden.CHECK_SEED, samples=golden.MC_SAMPLES,
-                    march_step=golden.MC_MARCH_STEP)
+    cfg = SimConfig(seed=golden.CHECK_SEED, samples=golden.MC_SAMPLES)
     t0 = time.perf_counter()
     stats = monte_carlo_mean_arclength(golden.MINMEAN_KAPPA, cfg)
     elapsed = time.perf_counter() - t0
@@ -240,10 +239,21 @@ def _check_property_suites() -> Tuple[bool, str]:
     shards = [uniform_block(99, start, 16) for start in range(0, 64, 16)]
     if list(np.concatenate(shards)) != a:
         failures.append("shard derivation")
-    s1 = monte_carlo_mean_arclength(0.5, SimConfig(seed=5, samples=2000, march_step=0.02))
-    s2 = monte_carlo_mean_arclength(0.5, SimConfig(seed=5, samples=2000, march_step=0.02))
+    s1 = monte_carlo_mean_arclength(0.5, SimConfig(seed=5, samples=2000))
+    s2 = monte_carlo_mean_arclength(0.5, SimConfig(seed=5, samples=2000))
     if s1 != s2:
         failures.append("monte carlo repeatability")
+
+    # Monte Carlo contact kernel vs the scalar reference march, on
+    # stratified directions over one period.
+    march = SimConfig(seed=0, samples=1, march_step=0.02)
+    for k in (golden.MINMAX_KAPPA, golden.MINMEAN_KAPPA, 1.0, 5.0):
+        omega0 = second_contact(Spiral(k, 1.0)).omega0
+        omegas = omega0 + math.tau * (np.arange(64) + 0.5) / 64
+        marched = [spiral_first_contact(k, float(w), march)[0] for w in omegas]
+        if np.abs(_first_contacts(k, omegas) - marched).max() > _REFINE_TOL:
+            failures.append(f"monte carlo contacts vs march kappa={k}")
+            break
 
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 30.0

@@ -5,7 +5,7 @@ Grammar:
     shoreline spiral   {minmax|minmean|eval} [--kappa F] [--R F] [--format FMT]
     shoreline coil     {minmax|minmean|mixed|eval} [--gamma F] [--X F] [--format FMT]
     shoreline simulate {spiral|coil|mixed} [--kappa F] [--gamma F] [--X F]
-                       [-n INT] [--seed INT] [--march-step F] [--format FMT]
+                       [-n INT] [--seed INT] [--format FMT]
     shoreline plot-data {delta-ratio|I|spiral-path} [--gamma F] [--kappa F]
                        --range LO:HI [--points INT] --out PATH
     shoreline check
@@ -178,14 +178,13 @@ def _finite_target(x: Optional[float]) -> float:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
-    cfg = SimConfig(seed=args.seed, samples=args.n, march_step=args.march_step)
+    cfg = SimConfig(seed=args.seed, samples=args.n)
     rec = OutputRecord(command=f"simulate {args.target}",
                        parameters={"n": args.n, "seed": args.seed})
     if args.target == "spiral":
         if args.kappa is None:
             raise ValueError("simulate spiral requires --kappa")
         rec.parameters["kappa"] = args.kappa
-        rec.parameters["march_step"] = args.march_step
         stats = monte_carlo_mean_arclength(args.kappa, cfg)
         reference = minmean_objective(args.kappa)
     elif args.target == "coil":
@@ -303,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--X", type=float)
     p_sim.add_argument("-n", type=int, default=100_000, help="sample count")
     p_sim.add_argument("--seed", type=int, default=golden.CHECK_SEED)
-    p_sim.add_argument("--march-step", type=float, default=golden.MC_MARCH_STEP)
     add_format(p_sim)
 
     p_plot = sub.add_parser("plot-data", help="emit CSV curve data (no rendering)")

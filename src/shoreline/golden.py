@@ -45,4 +45,3 @@ MIXED_GAMMA = 3.591121476669  # = 1/W(1/e)
 # Fixed Monte Carlo configuration for the acceptance runs.
 CHECK_SEED = 7
 MC_SAMPLES = 1_000_000
-MC_MARCH_STEP = 0.02

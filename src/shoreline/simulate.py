@@ -1,31 +1,37 @@
 """Independent verification oracles.
 
-Nothing here trusts the closed forms it is used to check: spiral first
-contacts are found by marching the trajectory against the line and
+Nothing here trusts the closed forms it is used to check: a single spiral
+first contact is found by marching the trajectory against the line and
 bisecting the detected sign change; coil travel distances are found by
 walking the zig-zag segments and solving each linear piece exactly; the
-Monte Carlo drivers average those primitive measurements over seeded,
+Monte Carlo drivers average primitive measurements over seeded,
 reproducible random draws.
 
-The scalar reference march and the vectorized Monte Carlo march share one
-grid (`_march_grid`) and one contact bisection (`_bisect_contacts`); the
-vectorized march hands its graze suspects, and rows whose start radius
-underflows, to the scalar one.
+The spiral Monte Carlo driver needs no march.  The spiral can reach the
+line only on the windows |theta - omega - 2*pi*m| < pi/2 (integer m).  On
+each, the log distance g(theta) = kappa*theta + ln cos(theta - omega) is
+concave and peaks at omega + 2*pi*m + atan(kappa); the m = 0 peak is >= 0
+exactly when omega >= omega0, and each peak is 2*pi*kappa below the next.
+So for omega in [omega0, omega0 + 2*pi) no earlier window reaches the line,
+and the first contact is the left root of g on the fixed bracket
+(omega - pi/2, omega + atan(kappa)], where g increases.  Every sample is
+bisected there by `_bisect_contacts`, the contact bisection the scalar
+reference march `spiral_first_contact` also calls; that march keeps its own
+crossing and graze detection and stays the independent check.
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
 holds exactly the values a serial run draws at those positions.  The spiral
-Monte Carlo march uses this: it runs over fixed, cache-sized blocks of
-positions, each drawn straight from the stream at its offset, and since
-every sample is marched on its own the results do not depend on the block
-size.
+Monte Carlo driver runs over fixed, cache-sized blocks of positions, each
+drawn straight from the stream at its offset, and since every sample is
+bisected on its own the results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -52,8 +58,8 @@ _GRAZE_TOL = 1e-9
 # Bisection stops once the bracket around a contact angle is this narrow.
 _REFINE_TOL = 1e-10
 
-# Samples marched together by `monte_carlo_mean_arclength`: the working set
-# of one block (about ten arrays of this length) stays in a core's cache.
+# Samples bisected together by `monte_carlo_mean_arclength`: the working set
+# of one block (a few arrays of this length) stays in a core's cache.
 _BLOCK = 16384
 
 
@@ -61,13 +67,12 @@ _BLOCK = 16384
 class SimConfig:
     """Simulation parameters.
 
-    ``march_step`` is in radians for the spiral march (t-units are not
-    needed: coil marching is segment-exact).  The bisection refinement makes
-    the final contact angle accurate to 1e-10 regardless of the march step;
-    the step only controls how finely crossings are scouted, so large Monte
-    Carlo runs may use a coarser step (0.01-0.02) than the single-contact
-    default, near-tangent cases being caught by the grazing band and
-    re-marched by the scalar routine at the same step.
+    ``march_step`` is in radians for the scalar spiral march
+    `spiral_first_contact` (t-units are not needed: coil marching is
+    segment-exact).  The bisection refinement makes the final contact angle
+    accurate to 1e-10 regardless of the march step; the step only controls
+    how finely crossings are scouted, near-tangent cases being caught by the
+    grazing band.  The Monte Carlo drivers do not read it.
     """
 
     seed: int = 0
@@ -97,12 +102,17 @@ class SampleStats:
 
 
 def summarize(values: np.ndarray) -> SampleStats:
-    """SampleStats of a 1-D array (standard error uses the n-1 denominator)."""
+    """SampleStats of a 1-D array (standard error uses the n-1 denominator).
+
+    Raises NumericalError when a sample or a statistic is not finite."""
     n = int(values.size)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return SampleStats(mean=mean, std_error=se, n=n,
-                       min=float(values.min()), max=float(values.max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    lo, hi = float(values.min()), float(values.max())
+    if not all(map(math.isfinite, (mean, se, lo, hi))):
+        raise NumericalError("non-finite sample statistics")
+    return SampleStats(mean=mean, std_error=se, n=n, min=lo, max=hi)
 
 
 def _signed_distance(kappa: float, omega: float, theta: float) -> float:
@@ -111,23 +121,30 @@ def _signed_distance(kappa: float, omega: float, theta: float) -> float:
     return math.exp(kappa * theta) * math.cos(theta - omega) - 1.0
 
 
-def _march_grid(kappa: float, h: float) -> Tuple[float, int, int]:
-    """Grazing band (~ |d''| * h^2), guard step count (half a turn: a
-    crossing there means a bad start) and step cap (four turns) at step h."""
-    band = (1.0 + kappa * kappa) ** 1.5 * h * h
-    return band, int(math.ceil(math.pi / h)), int(math.ceil(8.0 * math.pi / h))
-
-
 def _bisect_contacts(kappa: float, omegas, lo, hi):
     """Contact angles in the brackets [lo, hi], d(lo) < 0 <= d(hi), elementwise;
-    every row takes the widest bracket's ceil(log2(width / _REFINE_TOL)) steps."""
+    every row takes the widest bracket's ceil(log2(width / _REFINE_TOL)) steps.
+
+    The sign test reads the log distance kappa*theta + ln cos(theta - omega),
+    which has the sign of d = e^(kappa*theta) cos(theta - omega) - 1 where
+    the cosine is positive and never overflows; where the cosine is not
+    positive d < 0, and the NaN or -inf logarithm compares False.  So a
+    bracket may reach back to a window edge, omega - pi/2, as the Monte Carlo
+    window bracket does."""
     width = float(np.max(hi - lo))
-    for _ in range(max(0, math.ceil(math.log2(width / _REFINE_TOL)))):
-        mid = 0.5 * (lo + hi)
-        on_or_past = np.exp(kappa * mid) * np.cos(mid - omegas) - 1.0 >= 0.0
-        hi = np.where(on_or_past, mid, hi)
-        lo = np.where(on_or_past, lo, mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max(0, math.ceil(math.log2(width / _REFINE_TOL)))):
+            mid = 0.5 * (lo + hi)
+            on_or_past = kappa * mid + np.log(np.cos(mid - omegas)) >= 0.0
+            hi = np.where(on_or_past, mid, hi)
+            lo = np.where(on_or_past, lo, mid)
     return 0.5 * (lo + hi)
+
+
+def _first_contacts(kappa: float, omegas: np.ndarray) -> np.ndarray:
+    """First contact angles for directions in [omega0, omega0 + 2*pi), by
+    at most 35 bisection steps on the window bracket of the module docstring."""
+    return _bisect_contacts(kappa, omegas, omegas - 0.5 * math.pi, omegas + math.atan(kappa))
 
 
 def _refine_local_max(kappa: float, omega: float, lo: float, hi: float) -> Tuple[float, float]:
@@ -141,22 +158,25 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     """First contact of the spiral with the line tangent to the unit circle
     at angle ``omega``, by trajectory marching.
 
-    Marches theta upward from min(0, omega) - 2*pi on the `_march_grid` of
+    Marches theta upward from min(0, omega) - 2*pi in steps of
     ``cfg.march_step``, evaluating the signed distance d(theta) exactly; the
     first sign change is bisected by `_bisect_contacts`.  A marched local
-    maximum of d inside the grazing band is refined by golden-section
-    search: if the refined peak is positive the left crossing of the
-    narrow excursion is bisected; if it is within _GRAZE_TOL of zero
-    the contact is tangential and the peak itself is returned (accurate to
-    ~1e-6 at an exact double root, where transversal refinement is
-    impossible); otherwise the near miss is real and the march continues.
+    maximum of d inside the grazing band (~ |d''| * h^2) is refined by
+    golden-section search: if the refined peak is positive the left
+    crossing of the narrow excursion is bisected; if it is within
+    _GRAZE_TOL of zero the contact is tangential and the peak itself is
+    returned (accurate to ~1e-6 at an exact double root, where transversal
+    refinement is impossible); otherwise the near miss is real and the
+    march continues.  A crossing in the first half turn means a bad start;
+    the march gives up after four turns.
 
     Returns (theta_hit, arclength to theta_hit).
     """
     if kappa <= 0.0:
         raise ValueError("require kappa > 0")
     h = cfg.march_step
-    band, guard_steps, max_steps = _march_grid(kappa, h)
+    band = (1.0 + kappa * kappa) ** 1.5 * h * h
+    guard_steps, max_steps = int(math.ceil(math.pi / h)), int(math.ceil(8.0 * math.pi / h))
     theta = min(0.0, omega) - math.tau
     d = _signed_distance(kappa, omega, theta)
     if d >= 0.0:
@@ -180,99 +200,16 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     raise NumericalError("no contact found")
 
 
-def _march_first_contacts(kappa: float, omegas: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Vectorized version of the `spiral_first_contact` march.
-
-    Same `_march_grid` and crossing rule; exp/cos along the march are
-    advanced by per-step recurrences (one scalar factor for the radius, one
-    rotation for the phase), and `_bisect_contacts` refines all crossings
-    in one call.  Grazing-band suspects, and rows whose start radius is
-    subnormal or zero (the recurrence would keep it so), are handed back to
-    the scalar routine, which re-marches each one at the same step.
-
-    Each step writes into preallocated buffers.  A finished row is retired
-    in place (index -1, radius 0, so its distance stays at -1 and it can
-    neither cross nor graze again), and the arrays are compacted only once
-    a quarter of their rows are retired; every live row sees exactly the
-    arithmetic of a march that compacts on every step.
-    """
-    n = omegas.size
-    theta_hit = np.empty(n, dtype=np.float64)
-    h = cfg.march_step
-    band, guard_steps, max_steps = _march_grid(kappa, h)
-    growth = math.exp(kappa * h)
-    ch, sh = math.cos(h), math.sin(h)
-
-    theta = np.minimum(0.0, omegas) - math.tau
-    radial = np.exp(kappa * theta)
-    cos_ph = np.cos(theta - omegas)
-    sin_ph = np.sin(theta - omegas)
-    d_prev = radial * cos_ph - 1.0
-    if (d_prev >= 0.0).any():
-        raise NumericalError("march started on or past the line")
-    idx = np.arange(n)
-    suspects: List[int] = np.flatnonzero(radial < np.finfo(float).tiny).tolist()
-    idx[suspects] = -1
-    radial[suspects] = 0.0
-    live = n - len(suspects)
-    d, cos_new, tmp = np.empty(n), np.empty(n), np.empty(n)
-    crossed, graze, done = (np.empty(n, dtype=bool) for _ in range(3))
-
-    cross_idx: List[np.ndarray] = []
-    cross_hi: List[np.ndarray] = []
-    steps = 0
-    while live:
-        steps += 1
-        if steps > max_steps:
-            raise NumericalError("no contact found")
-        radial *= growth
-        np.multiply(cos_ph, ch, out=cos_new)
-        cos_new -= np.multiply(sin_ph, sh, out=tmp)
-        sin_ph *= ch
-        sin_ph += np.multiply(cos_ph, sh, out=tmp)
-        cos_ph, cos_new = cos_new, cos_ph
-        theta += h
-        np.multiply(radial, cos_ph, out=d)
-        d -= 1.0
-        np.greater_equal(d, 0.0, out=crossed)
-        # A live row has d_prev < 0, so a crossing (d >= 0) is never also
-        # a falling graze (d < d_prev).
-        np.greater_equal(d_prev, -band, out=graze)
-        graze &= np.less(d, d_prev, out=done)
-        np.logical_or(crossed, graze, out=done)
-        if done.any():
-            if crossed.any():
-                if steps <= guard_steps:
-                    raise NumericalError("contact inside the safety margin of the march")
-                cross_idx.append(idx[crossed])
-                cross_hi.append(theta[crossed])
-            if graze.any():
-                suspects.extend(idx[graze].tolist())
-            idx[done] = -1
-            radial[done] = 0.0
-            d[done] = -1.0
-            live -= int(np.count_nonzero(done))
-            if live and 4 * live <= 3 * idx.size:
-                keep = idx >= 0
-                idx, theta, radial = idx[keep], theta[keep], radial[keep]
-                cos_ph, sin_ph, d = cos_ph[keep], sin_ph[keep], d[keep]
-                d_prev, cos_new, tmp = d_prev[:live], cos_new[:live], tmp[:live]
-                crossed, graze, done = crossed[:live], graze[:live], done[:live]
-        d_prev, d = d, d_prev
-
-    if cross_idx:
-        ci = np.concatenate(cross_idx)
-        hi = np.concatenate(cross_hi)
-        theta_hit[ci] = _bisect_contacts(kappa, omegas[ci], hi - h, hi)
-
-    for s in suspects:
-        theta_hit[s] = spiral_first_contact(kappa, float(omegas[s]), cfg)[0]
-    return theta_hit
-
-
 def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     """Mean first-contact arclength over shoreline directions drawn
-    uniformly from one full period [omega0, omega0 + 2*pi)."""
+    uniformly from one full period [omega0, omega0 + 2*pi).
+
+    Each block of directions is bisected in one `_first_contacts` call on
+    the window bracket (omega - pi/2, omega + atan(kappa)]: there the log
+    distance is concave with its peak >= 0 exactly when omega >= omega0, so
+    its left root is the first contact.  The cost does not depend on kappa;
+    an arclength beyond the float range is a NumericalError.
+    """
     if kappa <= 0.0:
         raise ValueError("require kappa > 0")
     _, omega0 = tangent_contact(Spiral(kappa, 1.0))
@@ -280,9 +217,10 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     for start in range(0, cfg.samples, _BLOCK):
         count = min(_BLOCK, cfg.samples - start)
         omegas = omega0 + math.tau * uniform_block(cfg.seed, start, count)
-        hits[start:start + count] = _march_first_contacts(kappa, omegas, cfg)
+        hits[start:start + count] = _first_contacts(kappa, omegas)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
-    return summarize(factor * np.exp(kappa * hits))
+    with np.errstate(over="ignore"):
+        return summarize(factor * np.exp(kappa * hits))
 
 
 def coil_marching_distance(gamma: float, x: float, cfg: SimConfig) -> float:

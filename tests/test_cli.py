@@ -124,6 +124,13 @@ class TestSimulateCommands:
         out, err = capsys.readouterr()
         assert out == "" and "--X" in err
 
+    def test_march_step_option_is_gone(self, capsys):
+        # the Monte Carlo spiral run bisects without a march
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "spiral", "--kappa", "0.5", "--march-step", "0.02"])
+        assert exc.value.code == 2
+        assert "--march-step" in capsys.readouterr().err
+
     def test_no_hard_coded_diagnostics(self, capsys):
         # only a measured diagnostic is printed; these commands measure none
         for argv in (["coil", "eval", "--gamma", "2", "--X", "3"],
@@ -150,6 +157,20 @@ def test_domain_edge_is_numerical_failure(argv, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical failure:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "spiral", "--kappa", "150", "-n", "50"],
+    ["simulate", "spiral", "--kappa", "1000", "-n", "50"],
+    ["simulate", "coil", "--gamma", "1.000000001", "--X", "1e300", "-n", "5"],
+])
+def test_sample_overflow_is_one_failure_line(argv):
+    # statistics of overflowing samples fail without numpy warning text; run
+    # in a subprocess, where a warning would reach stderr instead of pytest
+    cp = run_cli(*argv)
+    assert cp.returncode == 1
+    assert cp.stdout == "" and "Warning" not in cp.stderr
+    assert cp.stderr.startswith("numerical failure:") and cp.stderr.count("\n") == 1
 
 
 class TestPlotData:

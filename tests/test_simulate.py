@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shoreline import golden, simulate
+from shoreline import golden
 from shoreline.coil import (Coil, bracket_ratio, mixed_expected_ratio, travel_distance,
                             worst_case_ratio)
 from shoreline.numerics import RandomStream, next_uniform, uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
-                                _bisect_contacts, _march_first_contacts,
+                                _bisect_contacts, _first_contacts,
                                 coil_marching_distance, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact, summarize)
@@ -93,49 +93,26 @@ class TestSpiralFirstContact:
             spiral_first_contact(-1.0, 0.5, CFG)
 
 
-class TestVectorizedMarch:
-    def test_matches_scalar(self):
-        k = 0.7
+class TestFirstContacts:
+    # the Monte Carlo kernel against the scalar reference march at the
+    # acceptance run's step, including kappa where e^(kappa*theta) underflows
+    # at the march start
+    KAPPAS = [golden.MINMAX_KAPPA, golden.MINMEAN_KAPPA, 1.0, 5.0, 100.0, 150.0]
+
+    @pytest.mark.parametrize("k", KAPPAS)
+    def test_matches_scalar_reference(self, k):
         _, om0 = tangent_contact(Spiral(k, 1.0))
-        rng = RandomStream(77)
-        omegas = np.array([next_uniform(rng, om0, om0 + TWO_PI) for _ in range(300)])
-        vec = _march_first_contacts(k, omegas, MC_CFG)
-        for i, w in enumerate(omegas):
-            scalar = spiral_first_contact(k, float(w), MC_CFG)[0]
-            assert vec[i] == pytest.approx(scalar, abs=1e-9)
-
-    def test_covers_graze_fallback(self, monkeypatch):
-        # omegas straddling the tangency exercise the suspect path; each
-        # suspect is the scalar march of its row at the run's own step
-        k = 0.5
-        th0, om0 = tangent_contact(Spiral(k, 1.0))
-        omegas = np.array([om0, om0 + 1e-9, om0 + 1e-7, om0 + 1e-4, om0 + 0.3])
-        suspects = []
-
-        def recording(kappa, omega, cfg):
-            suspects.append(omega)
-            return spiral_first_contact(kappa, omega, cfg)
-
-        monkeypatch.setattr(simulate, "spiral_first_contact", recording)
-        vec = _march_first_contacts(k, omegas, MC_CFG)
-        monkeypatch.undo()
-        assert om0 in suspects
-        for i in np.flatnonzero(np.isin(omegas, suspects)):
-            assert vec[i] == spiral_first_contact(k, float(omegas[i]), MC_CFG)[0]
-        assert vec[0] == pytest.approx(th0, abs=1e-6)
-        assert vec[1] == pytest.approx(th0, abs=1e-3)
-        assert (vec <= th0 + 1e-3).all()
-
-
-    @pytest.mark.parametrize("k", [100.0, 150.0])
-    def test_underflowing_start_radius_matches_scalar(self, k):
-        # the start radius e^(k*theta) underflows for some rows at k = 100
-        # and for every row at k = 150; those rows go to the scalar march
-        _, om0 = tangent_contact(Spiral(k, 1.0))
-        omegas = om0 + TWO_PI * uniform_block(41, 0, 300)
-        vec = _march_first_contacts(k, omegas, MC_CFG)
+        omegas = om0 + TWO_PI * (np.arange(400) + 0.5) / 400
+        hits = _first_contacts(k, omegas)
         scalar = [spiral_first_contact(k, float(w), MC_CFG)[0] for w in omegas]
-        assert (vec == scalar).all()
+        assert np.abs(hits - scalar).max() <= _REFINE_TOL
+
+    @pytest.mark.parametrize("k", KAPPAS)
+    def test_tangency_returns_theta0(self, k):
+        # omega0 is a double root of the log distance, so the bisection can
+        # only meet theta0 as closely as rounding lets g be >= 0 near its peak
+        th0, om0 = tangent_contact(Spiral(k, 1.0))
+        assert _first_contacts(k, np.array([om0]))[0] == pytest.approx(th0, abs=1e-7)
 
 
 class TestBisectContacts:
@@ -166,59 +143,30 @@ class TestBisectContacts:
 class TestMonteCarloMeanArclength:
     def test_matches_closed_form_midrange(self):
         k = 0.5
-        stats = monte_carlo_mean_arclength(k, SimConfig(seed=11, samples=100_000,
-                                                        march_step=0.02))
+        stats = monte_carlo_mean_arclength(k, SimConfig(seed=11, samples=100_000))
         want = minmean_objective(k)
         assert abs(stats.mean - want) <= 3.0 * stats.std_error
         assert stats.std_error < 0.05
 
     def test_every_sample_below_worst_case(self):
         k = 0.8
-        stats = monte_carlo_mean_arclength(k, SimConfig(seed=3, samples=20_000,
-                                                        march_step=0.02))
+        stats = monte_carlo_mean_arclength(k, SimConfig(seed=3, samples=20_000))
         assert stats.max <= minmax_objective(k) + 1e-6
         assert stats.min >= 1.0  # cannot reach the unit circle in less than 1
 
     def test_deterministic(self):
-        cfg = SimConfig(seed=5, samples=5_000, march_step=0.02)
+        cfg = SimConfig(seed=5, samples=5_000)
         assert monte_carlo_mean_arclength(0.4, cfg) == \
             monte_carlo_mean_arclength(0.4, cfg)
 
-    def test_blocks_match_one_whole_array_march(self, monkeypatch):
-        # The min-max kappa grazes often; seed 1 puts graze suspects in the
-        # second block, so their block-local indices must map back to the
-        # right stream positions.
+    def test_blocks_match_one_whole_array_march(self):
         k, seed = golden.MINMAX_KAPPA, 1
         n = 2 * _BLOCK + 17
         _, om0 = tangent_contact(Spiral(k, 1.0))
         omegas = om0 + math.tau * uniform_block(seed, 0, n)
-        fallback = []
-
-        def recording(kappa, omega, cfg):
-            assert cfg.march_step == 0.02
-            fallback.append(omega)
-            return spiral_first_contact(kappa, omega, cfg)
-
-        monkeypatch.setattr(simulate, "spiral_first_contact", recording)
-        stats = monte_carlo_mean_arclength(k, SimConfig(seed=seed, samples=n,
-                                                        march_step=0.02))
-        monkeypatch.undo()
-        assert (np.flatnonzero(np.isin(omegas, fallback)) >= _BLOCK).any()
-        hits = _march_first_contacts(k, omegas, MC_CFG)
+        stats = monte_carlo_mean_arclength(k, SimConfig(seed=seed, samples=n))
         factor = math.sqrt(1.0 + k * k) / k
-        assert stats == summarize(factor * np.exp(k * hits))
-
-    def test_rows_march_independently(self):
-        # Retiring finished rows in place and compacting late must leave
-        # every row as a march of that row alone would: this is what makes
-        # the result independent of the block size.
-        k = golden.MINMAX_KAPPA
-        _, om0 = tangent_contact(Spiral(k, 1.0))
-        omegas = np.append(om0 + math.tau * uniform_block(3, 0, 60), [om0 + 1e-9, om0 + 1e-6])
-        together = _march_first_contacts(k, omegas, MC_CFG)
-        alone = [_march_first_contacts(k, omegas[i:i + 1], MC_CFG)[0]
-                 for i in range(omegas.size)]
-        assert np.array_equal(together, alone)
+        assert stats == summarize(factor * np.exp(k * _first_contacts(k, omegas)))
 
     def test_shard_derivation_consistency(self):
         # blocks drawn at offsets concatenate to the serial sequence
