@@ -19,8 +19,9 @@ from . import golden
 from .coil import (Coil, average_ratio, optimal_minmax_coil, optimal_minmean_coil,
                    optimal_mixed, ratio_extrema, travel_distance)
 from .numerics import Bracket, RandomStream, minimize_scalar, next_uniform, uniform_block
-from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, coil_marching_distance,
-                       mixed_strategy_sample, monte_carlo_mean_arclength, spiral_first_contact)
+from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, _inverse_table,
+                       coil_marching_distance, mixed_strategy_sample, monte_carlo_mean_arclength,
+                       spiral_first_contact)
 from .spiral_geometry import (LineGeneral, Spiral, line_distance_to_origin, second_contact,
                               scale_theta1, spiral_tangent_slope)
 from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
@@ -251,7 +252,7 @@ def _check_property_suites() -> Tuple[bool, str]:
         omega0 = second_contact(Spiral(k, 1.0)).omega0
         omegas = omega0 + math.tau * (np.arange(64) + 0.5) / 64
         marched = [spiral_first_contact(k, float(w), march)[0] for w in omegas]
-        if np.abs(_first_contacts(k, omegas) - marched).max() > _REFINE_TOL:
+        if np.abs(_first_contacts(_inverse_table(k), omegas) - marched).max() > _REFINE_TOL:
             failures.append(f"monte carlo contacts vs march kappa={k}")
             break
 

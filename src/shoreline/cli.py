@@ -318,6 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _invocation(args: argparse.Namespace) -> str:
+    """The command and the inputs it ran with, e.g.
+    ``spiral eval (kappa=1000.0, R=1.0)``."""
+    words, fields = ("cmd", "mode", "target", "figure"), vars(args)
+    command = " ".join(fields[k] for k in words if k in fields)
+    inputs = ", ".join(f"{k}={v!r}" for k, v in fields.items()
+                       if k not in words + ("format", "out") and v is not None)
+    return command + (f" ({inputs})" if inputs else "")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -338,7 +348,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, AssertionError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # libm's overflow text names neither the quantity nor the input
+        detail = "result beyond the float range" if isinstance(exc, OverflowError) else exc
+        print(f"numerical failure: {_invocation(args)}: {detail}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .numerics import Bracket, lambert_w0, minimize_scalar
+from .numerics import Bracket, NumericalError, lambert_w0, minimize_scalar
 
 __all__ = [
     "Coil",
@@ -63,6 +63,9 @@ class CoilHit:
     delta: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.delta):
+            raise NumericalError(f"travel distance {self.delta!r} to target {self.target!r}"
+                                 " is not finite")
         if not self.delta >= abs(self.target) > 0.0:
             raise ValueError("delta must be at least |target| > 0")
 

@@ -14,17 +14,27 @@ concave and peaks at omega + 2*pi*m + atan(kappa); the m = 0 peak is >= 0
 exactly when omega >= omega0, and each peak is 2*pi*kappa below the next.
 So for omega in [omega0, omega0 + 2*pi) no earlier window reaches the line,
 and the first contact is the left root of g on the fixed bracket
-(omega - pi/2, omega + atan(kappa)], where g increases.  Every sample is
-bisected there by `_bisect_contacts`, the contact bisection the scalar
-reference march `spiral_first_contact` also calls; that march keeps its own
-crossing and graze detection and stays the independent check.
+(omega - pi/2, omega + atan(kappa)], where g increases.
+
+In t = theta - omega that root solves one equation for every sample,
+H(t) = kappa*t + ln cos t = -kappa*omega on (-pi/2, atan(kappa)], and omega
+enters only through the right-hand side.  So each Monte Carlo call inverts H
+once, as a table of t against s = sqrt(kappa*(omega - omega0)) (the square
+root of the peak's height above the level, in which t stays smooth even at
+tangency, s = 0), and each sample takes a cubic Hermite guess from its cell.
+The table only steers: a guess is kept when the contact sign test shows a
+sign change of g within _REFINE_TOL/2 of it, the guarantee bisection gives,
+and any other row is bisected on its window bracket by `_bisect_contacts`.
+That bisection is the one the scalar reference march `spiral_first_contact`
+also calls; the march keeps its own crossing and graze detection and stays
+the independent check.
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
 holds exactly the values a serial run draws at those positions.  The spiral
 Monte Carlo driver runs over fixed, cache-sized blocks of positions, each
 drawn straight from the stream at its offset, and since every sample is
-bisected on its own the results do not depend on the block size.
+solved on its own the results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -58,9 +68,15 @@ _GRAZE_TOL = 1e-9
 # Bisection stops once the bracket around a contact angle is this narrow.
 _REFINE_TOL = 1e-10
 
-# Samples bisected together by `monte_carlo_mean_arclength`: the working set
+# Samples solved together by `monte_carlo_mean_arclength`: the working set
 # of one block (a few arrays of this length) stays in a core's cache.
 _BLOCK = 16384
+
+# Equal steps of s in one Monte Carlo call's inverse table.  At this size
+# every guess in a 1e6-sample run passes the certificate for kappa <= 20; at
+# kappa = 30 and 100, where t falls steeply toward -pi/2, 0.24% and 1.8% of
+# the rows are bisected instead.
+_TABLE_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -121,30 +137,102 @@ def _signed_distance(kappa: float, omega: float, theta: float) -> float:
     return math.exp(kappa * theta) * math.cos(theta - omega) - 1.0
 
 
+def _on_or_past(kappa: float, thetas, omegas):
+    """The contact sign test, d(theta) >= 0, elementwise.
+
+    It reads the log distance kappa*theta + ln cos(theta - omega), which has
+    the sign of d = e^(kappa*theta) cos(theta - omega) - 1 where the cosine
+    is positive and never overflows; where the cosine is not positive d < 0,
+    and the NaN or -inf logarithm compares False.  So a bracket may reach
+    back to a window edge, omega - pi/2, as the Monte Carlo window bracket
+    does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kappa * thetas + np.log(np.cos(thetas - omegas)) >= 0.0
+
+
 def _bisect_contacts(kappa: float, omegas, lo, hi):
     """Contact angles in the brackets [lo, hi], d(lo) < 0 <= d(hi), elementwise;
-    every row takes the widest bracket's ceil(log2(width / _REFINE_TOL)) steps.
-
-    The sign test reads the log distance kappa*theta + ln cos(theta - omega),
-    which has the sign of d = e^(kappa*theta) cos(theta - omega) - 1 where
-    the cosine is positive and never overflows; where the cosine is not
-    positive d < 0, and the NaN or -inf logarithm compares False.  So a
-    bracket may reach back to a window edge, omega - pi/2, as the Monte Carlo
-    window bracket does."""
+    every row takes the widest bracket's ceil(log2(width / _REFINE_TOL)) steps
+    of `_on_or_past`."""
     width = float(np.max(hi - lo))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max(0, math.ceil(math.log2(width / _REFINE_TOL)))):
-            mid = 0.5 * (lo + hi)
-            on_or_past = kappa * mid + np.log(np.cos(mid - omegas)) >= 0.0
-            hi = np.where(on_or_past, mid, hi)
-            lo = np.where(on_or_past, lo, mid)
+    for _ in range(max(0, math.ceil(math.log2(width / _REFINE_TOL)))):
+        mid = 0.5 * (lo + hi)
+        on_or_past = _on_or_past(kappa, mid, omegas)
+        hi = np.where(on_or_past, mid, hi)
+        lo = np.where(on_or_past, lo, mid)
     return 0.5 * (lo + hi)
 
 
-def _first_contacts(kappa: float, omegas: np.ndarray) -> np.ndarray:
-    """First contact angles for directions in [omega0, omega0 + 2*pi), by
-    at most 35 bisection steps on the window bracket of the module docstring."""
-    return _bisect_contacts(kappa, omegas, omegas - 0.5 * math.pi, omegas + math.atan(kappa))
+@dataclass(frozen=True, eq=False)
+class _InverseTable:
+    """One kappa's inverse of H(t) = kappa*t + ln cos t (module docstring):
+    t = theta - omega as cubic Hermite pieces in s = sqrt(kappa*(omega - omega0)),
+    ``coef[k][i]`` the u^k coefficient of cell i, u = s/step - i."""
+
+    kappa: float
+    omega0: float
+    inv_step: float
+    coef: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _inverse_table(kappa: float) -> _InverseTable:
+    """The inverse table for directions in [omega0, omega0 + 2*pi).
+
+    Level j solves H(t) = H_max - s_j^2, with H_max = H(atan(kappa)) =
+    -kappa*omega0 and s_j = j*step.  Each level starts from `np.interp` on a
+    grid of t (uniform, plus points approaching -pi/2 geometrically, where t
+    falls fast as s grows at large kappa) and takes a few Newton steps, kept
+    inside [-pi/2, atan(kappa)]; dt/ds = -2s/H'(t), and -sqrt(2/(1 + kappa^2))
+    at the peak.  A level whose root lies closer to -pi/2 than a double
+    resolves stays at -pi/2, which is then the contact to rounding."""
+    _, omega0 = tangent_contact(Spiral(kappa, 1.0))
+    if not math.isfinite(omega0):
+        raise NumericalError("the tangency angle omega0 overflows")
+    top, h_max = math.atan(kappa), -kappa * omega0
+    step = math.sqrt(math.tau * kappa) / _TABLE_CELLS
+    s = step * np.arange(_TABLE_CELLS + 1)
+    level = h_max - s * s
+    fraction = np.sort(np.concatenate((np.linspace(0.0, 1.0, _TABLE_CELLS + 1),
+                                       np.geomspace(1e-17, 1.0, 256))))
+    grid = -0.5 * math.pi + (top + 0.5 * math.pi) * fraction
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid_s = np.sqrt(np.maximum(h_max - kappa * grid - np.log(np.cos(grid)), 0.0))
+        t = np.interp(s, grid_s[::-1], grid[::-1])
+        for _ in range(4):
+            t = t - (kappa * t + np.log(np.cos(t)) - level) / (kappa - np.tan(t))
+            t = np.clip(t, -0.5 * math.pi, top)
+        t[0] = top
+        slope = -2.0 * s / (kappa - np.tan(t))
+    slope[0] = -math.sqrt(2.0 / (1.0 + kappa * kappa))
+    slope *= step
+    rise = np.diff(t)
+    coef = (t[:-1], slope[:-1], 3.0 * rise - 2.0 * slope[:-1] - slope[1:],
+            slope[:-1] + slope[1:] - 2.0 * rise)
+    return _InverseTable(kappa, omega0, 1.0 / step, coef)
+
+
+def _first_contacts(table: _InverseTable, omegas: np.ndarray) -> np.ndarray:
+    """First contact angles for directions in [omega0, omega0 + 2*pi) at the
+    table's kappa.
+
+    Each row's guess from the table is kept when `_on_or_past` is False at
+    guess - _REFINE_TOL/2 and True at guess + _REFINE_TOL/2, so it lies
+    within _REFINE_TOL/2 of a sign change of the window's increasing branch,
+    as a bisected contact does; NaN fails the test.  The other rows are
+    bisected on the window bracket (omega - pi/2, omega + atan(kappa)]."""
+    kappa = table.kappa
+    x = np.sqrt(kappa * (omegas - table.omega0)) * table.inv_step
+    cell = np.minimum(x.astype(np.intp), _TABLE_CELLS - 1)
+    u = x - cell
+    a0, a1, a2, a3 = (c[cell] for c in table.coef)
+    thetas = omegas + (a0 + u * (a1 + u * (a2 + u * a3)))
+    half = 0.5 * _REFINE_TOL
+    miss = np.flatnonzero(_on_or_past(kappa, thetas - half, omegas)
+                          | ~_on_or_past(kappa, thetas + half, omegas))
+    if miss.size:
+        w = omegas[miss]
+        thetas[miss] = _bisect_contacts(kappa, w, w - 0.5 * math.pi, w + math.atan(kappa))
+    return thetas
 
 
 def _refine_local_max(kappa: float, omega: float, lo: float, hi: float) -> Tuple[float, float]:
@@ -204,20 +292,21 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     """Mean first-contact arclength over shoreline directions drawn
     uniformly from one full period [omega0, omega0 + 2*pi).
 
-    Each block of directions is bisected in one `_first_contacts` call on
-    the window bracket (omega - pi/2, omega + atan(kappa)]: there the log
-    distance is concave with its peak >= 0 exactly when omega >= omega0, so
-    its left root is the first contact.  The cost does not depend on kappa;
-    an arclength beyond the float range is a NumericalError.
+    The call builds one `_inverse_table` for kappa and passes it to every
+    block's `_first_contacts`: each direction's contact is the left root of
+    the log distance on its window (omega - pi/2, omega + atan(kappa)],
+    guessed from the table and kept only under the sign-change certificate,
+    else bisected there.  An arclength beyond the float range is a
+    NumericalError.
     """
     if kappa <= 0.0:
         raise ValueError("require kappa > 0")
-    _, omega0 = tangent_contact(Spiral(kappa, 1.0))
+    table = _inverse_table(kappa)
     hits = np.empty(cfg.samples)
     for start in range(0, cfg.samples, _BLOCK):
         count = min(_BLOCK, cfg.samples - start)
-        omegas = omega0 + math.tau * uniform_block(cfg.seed, start, count)
-        hits[start:start + count] = _first_contacts(kappa, omegas)
+        omegas = table.omega0 + math.tau * uniform_block(cfg.seed, start, count)
+        hits[start:start + count] = _first_contacts(table, omegas)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
     with np.errstate(over="ignore"):
         return summarize(factor * np.exp(kappa * hits))

@@ -151,18 +151,24 @@ class TestSimulateCommands:
     ["spiral", "eval", "--kappa", "5", "--R", "1e300"],
     ["spiral", "eval", "--kappa", "30", "--R", "1e-300"],
     ["coil", "eval", "--gamma", "1.000000001", "--X", "1e300"],
+    ["coil", "eval", "--gamma", "1e300", "--X", "5"],
 ])
 def test_domain_edge_is_numerical_failure(argv, capsys):
+    # one line naming the command and each input, never raw libm text
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numerical failure:")
-    assert "Traceback" not in err
+    assert out == "" and err.startswith(f"numerical failure: {argv[0]} {argv[1]} (")
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        assert f"{flag.lstrip('-')}={float(value)!r}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "range error" not in err and "out of range" not in err
 
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "spiral", "--kappa", "150", "-n", "50"],
     ["simulate", "spiral", "--kappa", "1000", "-n", "50"],
     ["simulate", "coil", "--gamma", "1.000000001", "--X", "1e300", "-n", "5"],
+    ["simulate", "spiral", "--kappa", "1e300", "-n", "50"],
 ])
 def test_sample_overflow_is_one_failure_line(argv):
     # statistics of overflowing samples fail without numpy warning text; run

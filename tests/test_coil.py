@@ -8,7 +8,8 @@ from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket
                             mixed_expected_ratio, optimal_minmax_coil,
                             optimal_minmean_coil, optimal_mixed, path_length_to,
                             position, ratio_extrema, travel_distance, worst_case_ratio)
-from shoreline.numerics import RandomStream, integrate, lambert_w0, next_uniform
+from shoreline.numerics import (NumericalError, RandomStream, integrate, lambert_w0,
+                                next_uniform)
 
 
 class TestPosition:
@@ -307,3 +308,10 @@ def test_coil_validation():
         Coil(1.0)
     with pytest.raises(ValueError):
         CoilHit(target=1.0, index=0, delta=0.5)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_coil_hit_rejects_non_finite_distance(delta):
+    # an overflowed travel distance is a numerical failure, not a usage error
+    with pytest.raises(NumericalError, match="not finite"):
+        CoilHit(target=1.0, index=0, delta=delta)

@@ -1,15 +1,16 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shoreline import golden
+from shoreline import golden, simulate
 from shoreline.coil import (Coil, bracket_ratio, mixed_expected_ratio, travel_distance,
                             worst_case_ratio)
 from shoreline.numerics import RandomStream, next_uniform, uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
-                                _bisect_contacts, _first_contacts,
+                                _bisect_contacts, _first_contacts, _inverse_table,
                                 coil_marching_distance, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact, summarize)
@@ -103,16 +104,63 @@ class TestFirstContacts:
     def test_matches_scalar_reference(self, k):
         _, om0 = tangent_contact(Spiral(k, 1.0))
         omegas = om0 + TWO_PI * (np.arange(400) + 0.5) / 400
-        hits = _first_contacts(k, omegas)
+        hits = _first_contacts(_inverse_table(k), omegas)
         scalar = [spiral_first_contact(k, float(w), MC_CFG)[0] for w in omegas]
         assert np.abs(hits - scalar).max() <= _REFINE_TOL
 
     @pytest.mark.parametrize("k", KAPPAS)
     def test_tangency_returns_theta0(self, k):
-        # omega0 is a double root of the log distance, so the bisection can
-        # only meet theta0 as closely as rounding lets g be >= 0 near its peak
+        # omega0 is a double root of the log distance, so the kernel can only
+        # meet theta0 as closely as rounding lets g be >= 0 near its peak
         th0, om0 = tangent_contact(Spiral(k, 1.0))
-        assert _first_contacts(k, np.array([om0]))[0] == pytest.approx(th0, abs=1e-7)
+        assert _first_contacts(_inverse_table(k), np.array([om0]))[0] == \
+            pytest.approx(th0, abs=1e-7)
+
+    @staticmethod
+    def _block(k, monkeypatch):
+        # one block of directions with both ends of the period, run with
+        # warnings as errors; returns (omegas, contacts, directions bisected)
+        table = _inverse_table(k)
+        omegas = table.omega0 + TWO_PI * uniform_block(29, 0, _BLOCK)
+        omegas[:2] = table.omega0, math.nextafter(table.omega0 + TWO_PI, -math.inf)
+        bisected = []
+
+        def recorder(kappa, w, lo, hi):
+            bisected.extend(np.atleast_1d(w))
+            return _bisect_contacts(kappa, w, lo, hi)
+
+        monkeypatch.setattr(simulate, "_bisect_contacts", recorder)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = _first_contacts(table, omegas)
+        return omegas, hits, set(bisected)
+
+    @pytest.mark.parametrize("k", [golden.MINMAX_KAPPA, golden.MINMEAN_KAPPA, 0.1,
+                                   1.0, 5.0, 100.0, 150.0])
+    def test_every_contact_is_certified(self, k, monkeypatch):
+        # guessed or bisected, each contact lies within _REFINE_TOL/2 of a
+        # sign change of d, checked with libm; omega0 itself is the double
+        # root, where d touches zero without changing sign
+        omegas, hits, _ = self._block(k, monkeypatch)
+        th0, _ = tangent_contact(Spiral(k, 1.0))
+        assert hits[0] == pytest.approx(th0, abs=1e-7)
+        for w, t in zip(omegas[1:], hits[1:]):
+            d = [math.exp(k * x) * math.cos(x - w) - 1.0
+                 for x in (t - 0.5 * _REFINE_TOL, t + 0.5 * _REFINE_TOL)]
+            assert d[0] < 0.0 <= d[1]
+
+    def test_table_guesses_hold_at_the_workload_kappas(self, monkeypatch):
+        # the table's guesses pass the certificate on every drawn row at the
+        # benchmark's kappa range; only the exact tangency may be bisected
+        for k in (golden.MINMAX_KAPPA, golden.MINMEAN_KAPPA, 0.1, 0.5, 1.0):
+            omegas, _, bisected = self._block(k, monkeypatch)
+            assert bisected <= {omegas[0]}
+
+    def test_steep_cells_fall_back_to_bisection(self, monkeypatch):
+        # at kappa = 100, t falls so steeply toward -pi/2 in a few cells that
+        # their cubic guesses miss the certificate, and those rows are bisected
+        omegas, _, bisected = self._block(100.0, monkeypatch)
+        assert bisected - {omegas[0]}
 
 
 class TestBisectContacts:
@@ -166,7 +214,8 @@ class TestMonteCarloMeanArclength:
         omegas = om0 + math.tau * uniform_block(seed, 0, n)
         stats = monte_carlo_mean_arclength(k, SimConfig(seed=seed, samples=n))
         factor = math.sqrt(1.0 + k * k) / k
-        assert stats == summarize(factor * np.exp(k * _first_contacts(k, omegas)))
+        hits = _first_contacts(_inverse_table(k), omegas)
+        assert stats == summarize(factor * np.exp(k * hits))
 
     def test_shard_derivation_consistency(self):
         # blocks drawn at offsets concatenate to the serial sequence
