@@ -23,13 +23,11 @@ __all__ = [
     "NumericalError",
     "Bracket",
     "SolveReport",
-    "RandomStream",
     "find_root",
     "minimize_scalar",
     "solve_system2",
     "integrate",
     "lambert_w0",
-    "next_uniform",
     "uniform_block",
 ]
 
@@ -76,7 +74,10 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
     point falls outside the current bracket (or fails to shrink it fast
     enough) the step reverts to plain bisection, so convergence is
     guaranteed.  Terminates when |f| <= tol, when the bracket width is
-    <= tol, or when no representable interior point remains.
+    <= tol, or when no representable interior point remains.  ``tol``
+    bounds |f| in f's own units as well as the width, so callers pass an f
+    of unit scale near its root: for f scaled by a small factor, |f| <= tol
+    holds far from the root.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -355,35 +356,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
-@dataclass
-class RandomStream:
-    """Deterministic uniform stream: value i depends only on (seed, i)."""
-
-    seed: int
-    position: int = 0
-
-    def __post_init__(self) -> None:
-        self.seed = int(self.seed) & _MASK64
-        if self.position < 0:
-            raise ValueError("position must be non-negative")
-
-
-def next_uniform(stream: RandomStream, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Next value in [lo, hi); advances the stream by one position."""
-    if not lo < hi:
-        raise ValueError("require lo < hi")
-    value = float(uniform_block(stream.seed, stream.position, 1, lo, hi)[0])
-    stream.position += 1
-    return value
-
-
 def uniform_block(seed: int, start: int, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Stream values for positions start .. start+count-1: a uniform double
-    in [lo, hi) from the top 53 bits of each mixed counter.
-
-    ``count`` successive ``next_uniform`` calls on ``RandomStream(seed, start)``
-    read the same values one at a time.
-    """
+    in [lo, hi) from the top 53 bits of each mixed counter."""
     if count < 0:
         raise ValueError("count must be non-negative")
     pos = np.arange(start, start + count, dtype=np.uint64)

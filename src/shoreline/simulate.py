@@ -2,10 +2,10 @@
 
 Nothing here trusts the closed forms it is used to check: a single spiral
 first contact is found by marching the trajectory against the line and
-bisecting the detected sign change; coil travel distances are found by
-walking the zig-zag segments and solving each linear piece exactly; the
-Monte Carlo drivers average primitive measurements over seeded,
-reproducible random draws.
+refining the detected sign change with `find_root`; coil travel distances
+are found by walking the zig-zag segments and solving each linear piece
+exactly; the Monte Carlo drivers average primitive measurements over
+seeded, reproducible random draws.
 
 The spiral Monte Carlo driver needs no march.  The spiral can reach the
 line only on the windows |theta - omega - 2*pi*m| < pi/2 (integer m).  On
@@ -25,9 +25,9 @@ tangency, s = 0), and each sample takes a cubic Hermite guess from its cell.
 The table only steers: a guess is kept when the contact sign test shows a
 sign change of g within _REFINE_TOL/2 of it, the guarantee bisection gives,
 and any other row is bisected on its window bracket by `_bisect_contacts`.
-That bisection is the one the scalar reference march `spiral_first_contact`
-also calls; the march keeps its own crossing and graze detection and stays
-the independent check.
+The scalar reference march `spiral_first_contact` shares neither the sign
+test nor the bisection: it reads the product-form distance
+`contact_distance` and stays the independent check.
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
@@ -39,6 +39,7 @@ solved on its own the results do not depend on the block size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -46,8 +47,8 @@ from typing import Tuple
 import numpy as np
 
 from .coil import bracket_ratio
-from .numerics import NumericalError, _golden_section, uniform_block
-from .spiral_geometry import Spiral, arclength, tangent_contact
+from .numerics import Bracket, NumericalError, _golden_section, find_root, uniform_block
+from .spiral_geometry import Spiral, arclength, contact_distance, tangent_contact
 
 __all__ = [
     "SimConfig",
@@ -65,7 +66,8 @@ __all__ = [
 # point instead of to a contact a full turn later.
 _GRAZE_TOL = 1e-9
 
-# Bisection stops once the bracket around a contact angle is this narrow.
+# The Monte Carlo contacts are certified, or bisected, to a bracket this
+# narrow.
 _REFINE_TOL = 1e-10
 
 # Samples solved together by `monte_carlo_mean_arclength`: the working set
@@ -85,10 +87,10 @@ class SimConfig:
 
     ``march_step`` is in radians for the scalar spiral march
     `spiral_first_contact` (t-units are not needed: coil marching is
-    segment-exact).  The bisection refinement makes the final contact angle
-    accurate to 1e-10 regardless of the march step; the step only controls
-    how finely crossings are scouted, near-tangent cases being caught by the
-    grazing band.  The Monte Carlo drivers do not read it.
+    segment-exact).  `find_root` refines each crossing to a distance residual
+    or bracket width of 1e-15 regardless of the march step; the step only
+    controls how finely crossings are scouted, near-tangent cases being
+    caught by the grazing band.  The Monte Carlo drivers do not read it.
     """
 
     seed: int = 0
@@ -131,12 +133,6 @@ def summarize(values: np.ndarray) -> SampleStats:
     return SampleStats(mean=mean, std_error=se, n=n, min=lo, max=hi)
 
 
-def _signed_distance(kappa: float, omega: float, theta: float) -> float:
-    # Distance from the spiral point at theta to the line tangent to the
-    # unit circle at angle omega, measured along the line's unit normal.
-    return math.exp(kappa * theta) * math.cos(theta - omega) - 1.0
-
-
 def _on_or_past(kappa: float, thetas, omegas):
     """The contact sign test, d(theta) >= 0, elementwise.
 
@@ -151,9 +147,10 @@ def _on_or_past(kappa: float, thetas, omegas):
 
 
 def _bisect_contacts(kappa: float, omegas, lo, hi):
-    """Contact angles in the brackets [lo, hi], d(lo) < 0 <= d(hi), elementwise;
-    every row takes the widest bracket's ceil(log2(width / _REFINE_TOL)) steps
-    of `_on_or_past`."""
+    """Contact angles in the brackets [lo, hi], d(lo) < 0 <= d(hi), elementwise:
+    the Monte Carlo fallback for rows whose table guess fails the
+    certificate.  Every row takes the widest bracket's
+    ceil(log2(width / _REFINE_TOL)) steps of `_on_or_past`."""
     width = float(np.max(hi - lo))
     for _ in range(max(0, math.ceil(math.log2(width / _REFINE_TOL)))):
         mid = 0.5 * (lo + hi)
@@ -184,10 +181,12 @@ def _inverse_table(kappa: float) -> _InverseTable:
     falls fast as s grows at large kappa) and takes a few Newton steps, kept
     inside [-pi/2, atan(kappa)]; dt/ds = -2s/H'(t), and -sqrt(2/(1 + kappa^2))
     at the peak.  A level whose root lies closer to -pi/2 than a double
-    resolves stays at -pi/2, which is then the contact to rounding."""
+    resolves stays at -pi/2, which is then the contact to rounding.  A kappa
+    whose tau*kappa^2 overflows is a NumericalError: the table's steps and
+    the arclength factor are not finite there."""
+    if not math.isfinite(math.tau * kappa * kappa):
+        raise NumericalError("tau*kappa^2 is beyond the float range")
     _, omega0 = tangent_contact(Spiral(kappa, 1.0))
-    if not math.isfinite(omega0):
-        raise NumericalError("the tangency angle omega0 overflows")
     top, h_max = math.atan(kappa), -kappa * omega0
     step = math.sqrt(math.tau * kappa) / _TABLE_CELLS
     s = step * np.arange(_TABLE_CELLS + 1)
@@ -235,53 +234,53 @@ def _first_contacts(table: _InverseTable, omegas: np.ndarray) -> np.ndarray:
     return thetas
 
 
-def _refine_local_max(kappa: float, omega: float, lo: float, hi: float) -> Tuple[float, float]:
-    """Golden-section maximization of the signed distance on [lo, hi]."""
-    lo, hi, _ = _golden_section(lambda t: -_signed_distance(kappa, omega, t), lo, hi, 1e-10)
-    mid = 0.5 * (lo + hi)
-    return mid, _signed_distance(kappa, omega, mid)
-
-
 def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[float, float]:
     """First contact of the spiral with the line tangent to the unit circle
     at angle ``omega``, by trajectory marching.
 
     Marches theta upward from min(0, omega) - 2*pi in steps of
-    ``cfg.march_step``, evaluating the signed distance d(theta) exactly; the
-    first sign change is bisected by `_bisect_contacts`.  A marched local
-    maximum of d inside the grazing band (~ |d''| * h^2) is refined by
-    golden-section search: if the refined peak is positive the left
-    crossing of the narrow excursion is bisected; if it is within
-    _GRAZE_TOL of zero the contact is tangential and the peak itself is
-    returned (accurate to ~1e-6 at an exact double root, where transversal
-    refinement is impossible); otherwise the near miss is real and the
-    march continues.  A crossing in the first half turn means a bad start;
-    the march gives up after four turns.
+    ``cfg.march_step``, evaluating the signed distance d(theta) =
+    `contact_distance` exactly; the first sign change is refined by
+    `find_root` on d.  A marched local maximum of d inside the grazing band
+    (~ |d''| * h^2) is refined by golden-section search: if the refined peak
+    is positive the left crossing of the narrow excursion is refined the same
+    way; if it is within _GRAZE_TOL of zero the contact is tangential and the
+    peak itself is returned (accurate to ~1e-6 at an exact double root, where
+    transversal refinement is impossible); otherwise the near miss is real
+    and the march continues.  A crossing in the first half turn means a bad
+    start; the march gives up after four turns.  Nothing here is shared with
+    the Monte Carlo kernel that this march checks.
 
     Returns (theta_hit, arclength to theta_hit).
     """
     if kappa <= 0.0:
         raise ValueError("require kappa > 0")
+    distance = functools.partial(contact_distance, kappa, omega)
+
+    def contact(lo: float, hi: float) -> Tuple[float, float]:
+        hit = find_root(distance, Bracket(lo, hi), tol=1e-15).root_or_argmin
+        return hit, arclength(kappa, hit)
+
     h = cfg.march_step
     band = (1.0 + kappa * kappa) ** 1.5 * h * h
     guard_steps, max_steps = int(math.ceil(math.pi / h)), int(math.ceil(8.0 * math.pi / h))
     theta = min(0.0, omega) - math.tau
-    d = _signed_distance(kappa, omega, theta)
+    d = distance(theta)
     if d >= 0.0:
         raise NumericalError("march started on or past the line")
     for step in range(1, max_steps + 1):
         theta2 = theta + h
-        d2 = _signed_distance(kappa, omega, theta2)
+        d2 = distance(theta2)
         if d2 >= 0.0:
             if step <= guard_steps:
                 raise NumericalError("contact inside the safety margin of the march")
-            hit = float(_bisect_contacts(kappa, omega, theta, theta2))
-            return hit, arclength(kappa, hit)
+            return contact(theta, theta2)
         if d >= -band and d2 < d:
-            peak, d_peak = _refine_local_max(kappa, omega, theta - h, theta2)
+            lo, hi, _ = _golden_section(lambda t: -distance(t), theta - h, theta2, 1e-10)
+            peak = 0.5 * (lo + hi)
+            d_peak = distance(peak)
             if d_peak > 0.0:
-                hit = float(_bisect_contacts(kappa, omega, theta - h, peak))
-                return hit, arclength(kappa, hit)
+                return contact(theta - h, peak)
             if d_peak >= -_GRAZE_TOL:
                 return peak, arclength(kappa, peak)
         theta, d = theta2, d2

@@ -21,6 +21,7 @@ __all__ = [
     "line_distance_to_origin",
     "spiral_tangent_slope",
     "tangent_contact",
+    "contact_distance",
     "second_contact",
     "scale_theta1",
     "arclength",
@@ -94,17 +95,23 @@ def tangent_contact(spiral: Spiral) -> Tuple[float, float]:
 
     theta0 = (ln R + ln(1 + kappa^2) / 2) / kappa in closed form, with
     omega0 = theta0 - arctan(kappa); arctan(kappa) equals
-    arccos(1 / sqrt(1 + kappa^2)) and is the better-conditioned form.
+    arccos(1 / sqrt(1 + kappa^2)) and is the better-conditioned form.  Where
+    kappa^2 overflows, ln(1 + kappa^2) / 2 is ln(kappa) to rounding.
     """
     k = spiral.kappa
-    theta0 = (math.log(spiral.radius) + 0.5 * math.log1p(k * k)) / k
+    k2 = k * k
+    half_log = 0.5 * math.log1p(k2) if math.isfinite(k2) else math.log(k)
+    theta0 = (math.log(spiral.radius) + half_log) / k
     omega0 = theta0 - math.atan(k)
     return theta0, omega0
 
 
-def _offset_line_residual(k: float, R: float, omega0: float, theta: float) -> float:
-    # Product form e^(k*theta) * cos(theta - omega0) - R; no secant poles.
-    return math.exp(k * theta) * math.cos(theta - omega0) - R
+def contact_distance(kappa: float, omega: float, theta: float) -> float:
+    """Signed distance e^(kappa*theta) * cos(theta - omega) - 1 of the spiral
+    point at ``theta`` past the line tangent to the unit circle at angle
+    ``omega``, along the line's unit normal (negative before the line).  The
+    product form has no secant poles."""
+    return math.exp(kappa * theta) * math.cos(theta - omega) - 1.0
 
 
 def second_contact(spiral: Spiral) -> TangentContact:
@@ -112,25 +119,27 @@ def second_contact(spiral: Spiral) -> TangentContact:
 
     theta1 is the unique second solution of
     e^(kappa*theta) * cos(theta - omega0) = R with theta0 < theta < theta0 + 2*pi.
-    The root is bracketed on [omega0 + 3*pi/2, omega0 + 2*pi]: the residual
-    is exactly -R at the left end, positive at the right end, and strictly
-    increasing between (cos > 0 and sin < 0 there), so the bracket always
+    It is solved at R = 1, where the residual `contact_distance` is of unit
+    scale, and shifted by ln(R)/kappa (`scale_theta1`).  The root is
+    bracketed on [omega0 + 3*pi/2, omega0 + 2*pi]: the residual is negative
+    at the left end, where the cosine is zero to rounding, positive at the
+    right end, and strictly increasing between (cos > 0 and sin < 0 there), so the bracket always
     contains exactly one root.  The tangency at theta0 itself is a double
     root and is never solved numerically.
     """
     k, R = spiral.kappa, spiral.radius
     theta0, omega0 = tangent_contact(spiral)
-    lo = omega0 + 1.5 * math.pi
-    hi = omega0 + math.tau
-    f_lo = _offset_line_residual(k, R, omega0, lo)
-    f_hi = _offset_line_residual(k, R, omega0, hi)
-    if not (f_lo < 0.0 < f_hi):
+    _, unit_omega0 = tangent_contact(Spiral(k))
+    lo = unit_omega0 + 1.5 * math.pi
+    hi = unit_omega0 + math.tau
+    if not contact_distance(k, unit_omega0, lo) < 0.0 < contact_distance(k, unit_omega0, hi):
         raise NumericalError(
             "second-contact bracket sign conditions violated for "
             f"kappa={k!r}, radius={R!r}")
-    report = find_root(lambda th: _offset_line_residual(k, R, omega0, th),
+    report = find_root(lambda th: contact_distance(k, unit_omega0, th),
                        Bracket(lo, hi), tol=1e-15)
-    return TangentContact(theta0=theta0, omega0=omega0, theta1=report.root_or_argmin)
+    return TangentContact(theta0=theta0, omega0=omega0,
+                          theta1=scale_theta1(k, report.root_or_argmin, R))
 
 
 def scale_theta1(kappa: float, theta1_at_unit: float, R: float) -> float:

@@ -148,8 +148,9 @@ class TestSimulateCommands:
 
 @pytest.mark.parametrize("argv", [
     ["spiral", "eval", "--kappa", "1000"],
-    ["spiral", "eval", "--kappa", "5", "--R", "1e300"],
-    ["spiral", "eval", "--kappa", "30", "--R", "1e-300"],
+    # e^(kappa*theta) overflows already at R = 1, so no R rescues these
+    ["spiral", "eval", "--kappa", "1e300"],
+    ["spiral", "eval", "--kappa", "1000", "--R", "1e-300"],
     ["coil", "eval", "--gamma", "1.000000001", "--X", "1e300"],
     ["coil", "eval", "--gamma", "1e300", "--X", "5"],
 ])
@@ -165,10 +166,36 @@ def test_domain_edge_is_numerical_failure(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spiral", "eval", "--kappa", "5", "--R", "1e300"],
+    ["spiral", "eval", "--kappa", "30", "--R", "1e-300"],
+])
+def test_domain_edge_is_finite(argv, capsys):
+    # theta1 is solved at R = 1 and shifted by ln(R)/kappa, so these give
+    # finite results; at kappa = 30 the cosine at theta1 is ~1e-43, far below
+    # the rounding of theta1 - omega0, so the defining equation is checked as
+    # a sign change within a few ulps of theta1
+    assert main(argv + ["--format", "json"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert all(math.isfinite(v) for v in res.values())
+    k, R = float(argv[3]), float(argv[5])
+    th1, om0 = res["theta1"], res["omega0"]
+    step = 4.0 * math.ulp(max(abs(th1), abs(om0)))
+
+    def log_eq(th):
+        cos = math.cos(th - om0)
+        return k * th + math.log(cos) - math.log(R) if cos > 0.0 else -math.inf
+
+    assert log_eq(th1 - step) < 0.0 <= log_eq(th1 + step)
+    assert res["minmax_objective"] == pytest.approx(
+        R * math.sqrt(1.0 + k * k) / k * math.exp(k * (th1 - math.log(R) / k)), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "spiral", "--kappa", "150", "-n", "50"],
     ["simulate", "spiral", "--kappa", "1000", "-n", "50"],
     ["simulate", "coil", "--gamma", "1.000000001", "--X", "1e300", "-n", "5"],
     ["simulate", "spiral", "--kappa", "1e300", "-n", "50"],
+    ["simulate", "spiral", "--kappa", "1.7e308", "-n", "50"],
 ])
 def test_sample_overflow_is_one_failure_line(argv):
     # statistics of overflowing samples fail without numpy warning text; run

@@ -8,8 +8,7 @@ from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket
                             mixed_expected_ratio, optimal_minmax_coil,
                             optimal_minmean_coil, optimal_mixed, path_length_to,
                             position, ratio_extrema, travel_distance, worst_case_ratio)
-from shoreline.numerics import (NumericalError, RandomStream, integrate, lambert_w0,
-                                next_uniform)
+from shoreline.numerics import NumericalError, integrate, lambert_w0, uniform_block
 
 
 class TestPosition:
@@ -26,11 +25,11 @@ class TestPosition:
         assert position(Coil(2.0), 0.5) == pytest.approx(-0.5)
 
     def test_continuity_at_integers(self):
-        rng = RandomStream(2)
+        u = iter(uniform_block(2, 0, 80).tolist())
         for _ in range(40):
-            g = next_uniform(rng, 1.1, 8.0)
+            g = 1.1 + 6.9 * next(u)
             c = Coil(g)
-            k = int(next_uniform(rng, -5.0, 6.0))
+            k = int(-5.0 + 11.0 * next(u))
             eps = 1e-9
             left = position(c, k - eps)
             right = position(c, k + eps)
@@ -72,11 +71,11 @@ class TestBracketIndex:
             bracket_index(Coil(2.0), 0.0)
 
     def test_inequalities_always_hold(self):
-        rng = RandomStream(8)
+        u = iter(uniform_block(8, 0, 1500).tolist())
         for _ in range(500):
-            g = next_uniform(rng, 1.05, 9.0)
-            exp = next_uniform(rng, -6.0, 6.0)
-            x = g ** exp if next_uniform(rng) < 0.5 else -(g ** exp)
+            g = 1.05 + 7.95 * next(u)
+            exp = -6.0 + 12.0 * next(u)
+            x = g ** exp if next(u) < 0.5 else -(g ** exp)
             i = bracket_index(Coil(g), x)
             if x > 0:
                 assert g ** (2 * i) < x <= g ** (2 * i + 2)
@@ -109,11 +108,11 @@ class TestTravelDistance:
         assert hit.delta >= abs(hit.target)
 
     def test_self_similarity(self):
-        rng = RandomStream(21)
+        u = iter(uniform_block(21, 0, 600).tolist())
         for _ in range(200):
-            g = next_uniform(rng, 1.1, 8.0)
-            mag = g ** next_uniform(rng, -6.0, 4.0)
-            x = mag if next_uniform(rng) < 0.5 else -mag
+            g = 1.1 + 6.9 * next(u)
+            mag = g ** (-6.0 + 10.0 * next(u))
+            x = mag if next(u) < 0.5 else -mag
             c = Coil(g)
             d1 = travel_distance(c, x).delta
             d2 = travel_distance(c, g * g * x).delta
@@ -151,11 +150,11 @@ class TestWorstCaseRatio:
 
 class TestBracketIntegrals:
     def test_positive_piece_against_quadrature(self):
-        rng = RandomStream(31)
+        u = iter(uniform_block(31, 0, 30).tolist())
         for _ in range(10):
-            g = next_uniform(rng, 1.2, 5.0)
-            i = int(next_uniform(rng, -2.0, 3.0))
-            x = g ** (2 * i) * (1.0 + next_uniform(rng) * (g * g - 1.0))
+            g = 1.2 + 3.8 * next(u)
+            i = int(-2.0 + 5.0 * next(u))
+            x = g ** (2 * i) * (1.0 + next(u) * (g * g - 1.0))
             c = 2.0 * g ** (2 * i + 2) / (g - 1.0)
             got = bracket_integral_pos(i, g, x)
             want = integrate(lambda s: 1.0 + c / s, g ** (2 * i), x, 1e-10)
@@ -207,22 +206,22 @@ class TestAverageRatio:
         assert average_ratio(c, x0) == pytest.approx(approx, abs=1e-6)
 
     def test_log_periodicity(self):
-        rng = RandomStream(41)
+        u = iter(uniform_block(41, 0, 100).tolist())
         for _ in range(50):
-            g = next_uniform(rng, 1.2, 6.0)
-            x = g ** next_uniform(rng, -3.0, 3.0)
+            g = 1.2 + 4.8 * next(u)
+            x = g ** (-3.0 + 6.0 * next(u))
             c = Coil(g)
             assert average_ratio(c, g * g * x) == pytest.approx(
                 average_ratio(c, x), rel=1e-9)
 
     def test_bounded_by_extrema(self):
-        rng = RandomStream(43)
+        u = iter(uniform_block(43, 0, 1000).tolist())
         for g in (1.5, 2.0, 3.0, 5.0, 8.0):
             c = Coil(g)
             ext = ratio_extrema(c)
             assert ext.min_value < ext.max_value
             for _ in range(200):
-                x = g ** next_uniform(rng, -4.0, 4.0)
+                x = g ** (-4.0 + 8.0 * next(u))
                 val = average_ratio(c, x)
                 assert ext.min_value - 1e-9 <= val <= ext.max_value + 1e-9
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shoreline.numerics import (Bracket, NumericalError, RandomStream, find_root,
-                                integrate, lambert_w0, minimize_scalar, next_uniform,
-                                solve_system2, uniform_block)
+from shoreline.numerics import (Bracket, NumericalError, find_root, integrate, lambert_w0,
+                                minimize_scalar, solve_system2, uniform_block)
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,11 +61,12 @@ class TestFindRoot:
             find_root(f, Bracket(0.0, 1.0), 1e-12)
 
     def test_root_stays_in_bracket(self):
-        rng = RandomStream(42)
+        u = iter(uniform_block(42, 0, 150).tolist())
         for _ in range(50):
-            a = next_uniform(rng, -3.0, 0.0)
-            b = next_uniform(rng, 0.5, 4.0)
-            c = next_uniform(rng, a + 0.1, b - 0.1) if b - 0.2 > a + 0.1 else 0.25
+            a = -3.0 + 3.0 * next(u)
+            b = 0.5 + 3.5 * next(u)
+            lo, hi = a + 0.1, b - 0.1
+            c = lo + (hi - lo) * next(u) if b - 0.2 > a + 0.1 else 0.25
             r = find_root(lambda x: math.tanh(x - c), Bracket(a, b), 1e-13)
             assert a <= r.root_or_argmin <= b
             assert r.root_or_argmin == pytest.approx(c, abs=1e-10)
@@ -178,22 +178,20 @@ class TestLambertW:
 
 
 class TestRandomStream:
+    # the counter-based stream, read through `uniform_block`
     def test_range_contract(self):
-        stream = RandomStream(1)
-        u = next_uniform(stream, 0.0, 1.0)
-        assert 0.0 <= u < 1.0
-        assert stream.position == 1
+        u = uniform_block(1, 0, 1000)
+        assert ((0.0 <= u) & (u < 1.0)).all()
 
     def test_determinism(self):
-        a = [next_uniform(RandomStream(9, i)) for i in range(100)]
-        s = RandomStream(9)
-        b = [next_uniform(s) for _ in range(100)]
-        assert a == b
+        a = [float(uniform_block(9, i, 1)[0]) for i in range(100)]
+        assert a == uniform_block(9, 0, 100).tolist() == uniform_block(9, 0, 100).tolist()
 
     def test_block_matches_scalar(self):
+        # a block drawn at an offset holds the serial stream's values there
         blk = uniform_block(31337, 5, 200)
-        s = RandomStream(31337, 5)
-        assert [next_uniform(s) for _ in range(200)] == list(blk)
+        assert blk.tolist() == uniform_block(31337, 0, 205)[5:].tolist()
+        assert blk.tolist() == [float(uniform_block(31337, i, 1)[0]) for i in range(5, 205)]
 
     def test_known_answer(self):
         # published SplitMix64 outputs for seed 1234567
@@ -206,10 +204,7 @@ class TestRandomStream:
         assert abs(us.mean() - 0.5) < 0.002  # 3 sigma = 3/(sqrt(12)*1e3)
 
     def test_interval_mapping(self):
-        s = RandomStream(4)
-        vals = [next_uniform(s, -2.0, 5.0) for _ in range(1000)]
-        assert all(-2.0 <= v < 5.0 for v in vals)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            next_uniform(RandomStream(1), 1.0, 1.0)
+        vals = uniform_block(4, 0, 1000, -2.0, 5.0)
+        assert ((-2.0 <= vals) & (vals < 5.0)).all()
+        # lo + (hi - lo) * u, the same two roundings as mapping a unit draw
+        assert vals.tolist() == [-2.0 + 7.0 * u for u in uniform_block(4, 0, 1000).tolist()]

@@ -8,13 +8,13 @@ import pytest
 from shoreline import golden, simulate
 from shoreline.coil import (Coil, bracket_ratio, mixed_expected_ratio, travel_distance,
                             worst_case_ratio)
-from shoreline.numerics import RandomStream, next_uniform, uniform_block
+from shoreline.numerics import uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
                                 _bisect_contacts, _first_contacts, _inverse_table,
                                 coil_marching_distance, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact, summarize)
-from shoreline.spiral_geometry import Spiral, second_contact, tangent_contact
+from shoreline.spiral_geometry import Spiral, contact_distance, second_contact, tangent_contact
 from shoreline.spiral_objectives import minmax_objective, minmean_objective
 
 TWO_PI = 2.0 * math.pi
@@ -88,6 +88,24 @@ class TestSpiralFirstContact:
             th = sim(w)
             analytic = 1.0 / (1.0 + sign * k / math.sqrt(math.exp(2.0 * k * th) - 1.0))
             assert fd == pytest.approx(analytic, rel=1e-3)
+
+    def test_shares_no_kernel_with_the_monte_carlo_contacts(self, monkeypatch):
+        # the march is the reference the Monte Carlo kernel is checked against,
+        # so none of its branches may call that kernel's sign test or bisection:
+        # a tangency, a graze-band crossing and two plain crossings
+        def forbidden(*args):
+            raise AssertionError("the reference march called the Monte Carlo kernel")
+
+        monkeypatch.setattr(simulate, "_on_or_past", forbidden)
+        monkeypatch.setattr(simulate, "_bisect_contacts", forbidden)
+        k = 0.5
+        th0, om0 = tangent_contact(Spiral(k, 1.0))
+        assert spiral_first_contact(k, om0, MC_CFG)[0] == pytest.approx(th0, abs=1e-6)
+        for w in (om0 + 1e-6, 1.0, 4.0):
+            th, _ = spiral_first_contact(k, w, MC_CFG)
+            d = [contact_distance(k, w, x)
+                 for x in (th - 0.5 * _REFINE_TOL, th, th + 0.5 * _REFINE_TOL)]
+            assert d[0] < 0.0 <= d[2] and abs(d[1]) <= 1e-15
 
     def test_rejects_bad_kappa(self):
         with pytest.raises(ValueError):
@@ -233,19 +251,19 @@ class TestCoilMarching:
         assert coil_marching_distance(2.0, -1.0, CFG) == pytest.approx(5.0, abs=1e-12)
 
     def test_against_closed_form(self):
-        rng = RandomStream(111)
+        u = iter(uniform_block(111, 0, 3000).tolist())
         for _ in range(1000):
-            g = next_uniform(rng, 1.1, 8.0)
-            mag = g ** next_uniform(rng, -6.0, 6.0)
-            x = mag if next_uniform(rng) < 0.5 else -mag
+            g = 1.1 + 6.9 * next(u)
+            mag = g ** (-6.0 + 12.0 * next(u))
+            x = mag if next(u) < 0.5 else -mag
             closed = travel_distance(Coil(g), x).delta
             assert coil_marching_distance(g, x, CFG) == pytest.approx(closed, rel=1e-9)
 
     def test_never_less_than_distance(self):
-        rng = RandomStream(13)
+        u = iter(uniform_block(13, 0, 600).tolist())
         for _ in range(200):
-            g = next_uniform(rng, 1.1, 6.0)
-            x = (g ** next_uniform(rng, -4.0, 4.0)) * (1 if next_uniform(rng) < 0.5 else -1)
+            g = 1.1 + 4.9 * next(u)
+            x = (g ** (-4.0 + 8.0 * next(u))) * (1 if next(u) < 0.5 else -1)
             assert coil_marching_distance(g, x, CFG) >= abs(x)
 
     def test_target_at_origin(self):
@@ -299,12 +317,12 @@ class TestScanWorstRatio:
 
     def test_kernel_matches_scalar_rule(self):
         # seeded signed targets X = +-gamma^u
-        rng = RandomStream(53)
+        u = iter(uniform_block(53, 0, 6000).tolist())
         cases = []
         for _ in range(2000):
-            g = next_uniform(rng, 1.1, 8.0)
-            mag = g ** next_uniform(rng, -6.0, 6.0)
-            cases.append((g, mag if next_uniform(rng) < 0.5 else -mag))
+            g = 1.1 + 6.9 * next(u)
+            mag = g ** (-6.0 + 12.0 * next(u))
+            cases.append((g, mag if next(u) < 0.5 else -mag))
         # exact turning points gamma^(2k) and -gamma^(2k-1) and the next double
         # beyond each, where the nudge decides the bracket; only powers that
         # are exact doubles, so both kernels see the same turning point

@@ -3,13 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from shoreline.numerics import RandomStream, integrate, next_uniform
+from shoreline.numerics import integrate, uniform_block
 from shoreline.spiral_geometry import (LineGeneral, Spiral, TangentContact, arclength,
                                        line_distance_to_origin, scale_theta1,
                                        second_contact, spiral_tangent_slope,
                                        tangent_contact)
 
 TWO_PI = 2.0 * math.pi
+
+
+def assert_root_of_log_equation(k, R, contact, ulps=4):
+    """kappa*theta + ln cos(theta - omega0) - ln R, -inf where the cosine is
+    not positive, is negative a few ulps below theta1 and non-negative a few
+    ulps above.  At large kappa the cosine at theta1 is far below the
+    rounding of theta1 - omega0, so a residual at theta1 itself says nothing."""
+    th1, om0 = contact.theta1, contact.omega0
+    step = ulps * math.ulp(max(abs(th1), abs(om0)))
+
+    def log_eq(th):
+        cos = math.cos(th - om0)
+        return k * th + math.log(cos) - math.log(R) if cos > 0.0 else -math.inf
+
+    assert log_eq(th1 - step) < 0.0 <= log_eq(th1 + step), (k, R)
 
 
 class TestLineDistance:
@@ -64,10 +79,10 @@ class TestTangentContact:
         assert om0 == pytest.approx(0.5 * math.log(2.0) - math.pi / 4.0, abs=1e-15)
 
     def test_radius_scaling(self):
-        rng = RandomStream(7)
+        u = iter(uniform_block(7, 0, 40).tolist())
         for _ in range(20):
-            k = next_uniform(rng, 0.05, 2.0)
-            R = next_uniform(rng, 0.1, 10.0)
+            k = 0.05 + 1.95 * next(u)
+            R = 0.1 + 9.9 * next(u)
             th0_R, _ = tangent_contact(Spiral(k, R))
             th0_1, _ = tangent_contact(Spiral(k, 1.0))
             assert th0_R - th0_1 == pytest.approx(math.log(R) / k, abs=1e-10)
@@ -77,11 +92,20 @@ class TestTangentContact:
         assert th0 - om0 == pytest.approx(math.atan(0.2124695594), abs=1e-15)
 
     def test_angle_identity(self):
-        rng = RandomStream(11)
+        u = iter(uniform_block(11, 0, 100).tolist())
         for _ in range(50):
-            k = next_uniform(rng, 0.05, 2.0)
-            th0, om0 = tangent_contact(Spiral(k, next_uniform(rng, 0.1, 10.0)))
+            k = 0.05 + 1.95 * next(u)
+            th0, om0 = tangent_contact(Spiral(k, 0.1 + 9.9 * next(u)))
             assert abs(math.cos(th0 - om0) * math.sqrt(1.0 + k * k) - 1.0) < 1e-12
+
+    def test_huge_kappa_is_finite(self):
+        # ln(1 + kappa^2)/2 is ln(kappa) to rounding on both sides of the
+        # kappa where kappa^2 overflows
+        th0, om0 = tangent_contact(Spiral(1e300))
+        assert th0 == math.log(1e300) / 1e300
+        assert om0 == pytest.approx(-0.5 * math.pi, abs=1e-15)
+        for k in (1.3e154, 1.35e154, 1.7e308):
+            assert tangent_contact(Spiral(k))[0] * k == pytest.approx(math.log(k), rel=1e-15)
 
     def test_invalid_spiral(self):
         with pytest.raises(ValueError):
@@ -92,10 +116,10 @@ class TestTangentContact:
 
 class TestSecondContact:
     def test_defining_residual_random(self):
-        rng = RandomStream(23)
+        u = iter(uniform_block(23, 0, 120).tolist())
         for _ in range(60):
-            k = next_uniform(rng, 0.05, 2.0)
-            R = next_uniform(rng, 0.1, 10.0)
+            k = 0.05 + 1.95 * next(u)
+            R = 0.1 + 9.9 * next(u)
             c = second_contact(Spiral(k, R))
             resid = math.exp(k * c.theta1) * math.cos(c.theta1 - c.omega0) - R
             assert abs(resid) <= 1e-10
@@ -119,14 +143,20 @@ class TestSecondContact:
         assert arclength(k, c.theta1) == pytest.approx(13.8111351795, abs=1e-7)
 
     def test_uniqueness_by_scan(self):
-        rng = RandomStream(5)
-        for _ in range(5):
-            k = next_uniform(rng, 0.1, 2.0)
+        for k in uniform_block(5, 0, 5, 0.1, 2.0).tolist():
             c = second_contact(Spiral(k, 1.0))
             grid = np.linspace(c.theta0 + 1e-6, c.theta0 + TWO_PI, 200_001)
             vals = np.exp(k * grid) * np.cos(grid - c.omega0) - 1.0
             flips = np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
             assert flips == 1
+
+    @pytest.mark.parametrize("k", [0.05, 0.3, 1.0, 5.0, 30.0])
+    def test_extreme_radii_solve_log_equation(self, k):
+        # theta1 is solved at R = 1, where the residual is of unit scale, and
+        # shifted by ln(R)/kappa: at any R the log form of the defining
+        # equation changes sign within a few ulps of theta1
+        for R in (1e-300, 1e-20, 1e-10, 1e10, 1e300):
+            assert_root_of_log_equation(k, R, second_contact(Spiral(k, R)))
 
     def test_contact_angles_validation(self):
         with pytest.raises(ValueError, match="out of order"):
@@ -140,14 +170,16 @@ class TestScaleTheta1:
     def test_e_radius(self):
         assert scale_theta1(0.5, 4.0, math.e) == pytest.approx(6.0, abs=1e-14)
 
-    def test_against_direct_solver(self):
-        rng = RandomStream(17)
+    def test_defining_equation_over_forty_decades(self):
+        # second_contact shifts theta1 by scale_theta1, so the shifted value
+        # is checked against the defining equation in log form, R log-uniform
+        u = iter(uniform_block(17, 0, 80).tolist())
         for _ in range(40):
-            k = next_uniform(rng, 0.05, 2.0)
-            R = next_uniform(rng, 0.1, 10.0)
-            t1_unit = second_contact(Spiral(k, 1.0)).theta1
-            direct = second_contact(Spiral(k, R)).theta1
-            assert scale_theta1(k, t1_unit, R) == pytest.approx(direct, abs=1e-9)
+            k = 0.05 + 1.95 * next(u)
+            R = 10.0 ** (-20.0 + 40.0 * next(u))
+            c = second_contact(Spiral(k, R))
+            log_eq = k * c.theta1 + math.log(math.cos(c.theta1 - c.omega0)) - math.log(R)
+            assert abs(log_eq) <= 1e-10
 
     def test_offset_invariance_across_radii(self):
         # theta1(R) - omega0(R) does not depend on R
@@ -175,10 +207,10 @@ class TestArclength:
                                                   abs=1e-8)
 
     def test_monotone_and_turn_ratio(self):
-        rng = RandomStream(3)
+        u = iter(uniform_block(3, 0, 40).tolist())
         for _ in range(20):
-            k = next_uniform(rng, 0.05, 2.0)
-            th = next_uniform(rng, -5.0, 5.0)
+            k = 0.05 + 1.95 * next(u)
+            th = -5.0 + 10.0 * next(u)
             assert arclength(k, th) > 0.0
             assert arclength(k, th + 0.1) > arclength(k, th)
             ratio = arclength(k, th + TWO_PI) / arclength(k, th)
@@ -188,10 +220,10 @@ class TestArclength:
 def test_tangency_line_distance_equals_radius():
     # the spiral's tangent line at theta0 lies at distance exactly R
     # from the origin
-    rng = RandomStream(29)
+    u = iter(uniform_block(29, 0, 100).tolist())
     for _ in range(50):
-        k = next_uniform(rng, 0.05, 2.0)
-        R = next_uniform(rng, 0.1, 10.0)
+        k = 0.05 + 1.95 * next(u)
+        R = 0.1 + 9.9 * next(u)
         th0, _ = tangent_contact(Spiral(k, R))
         m = spiral_tangent_slope(k, th0)
         r = math.exp(k * th0)

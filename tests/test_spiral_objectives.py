@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shoreline.numerics import Bracket, RandomStream, integrate, minimize_scalar, next_uniform
+from shoreline.numerics import Bracket, integrate, minimize_scalar, uniform_block
 from shoreline.spiral_geometry import Spiral, arclength, second_contact
 from shoreline.spiral_objectives import (AnglePair, MINMAX_BRACKET, MINMEAN_BRACKET,
                                          erroneous_objective, minimize_minmax,
@@ -63,9 +63,7 @@ class TestMinmaxSystem:
 
     def test_constraint_residual_vanishes_off_optimum(self):
         # the second equation holds along the whole contact curve
-        rng = RandomStream(101)
-        for _ in range(200):
-            k = next_uniform(rng, 0.05, 1.5)
+        for k in uniform_block(101, 0, 200, 0.05, 1.5).tolist():
             _, r2 = minmax_system_residuals(angles_for(k))
             assert abs(r2) < 1e-10
 
@@ -101,9 +99,7 @@ class TestMinmeanObjective:
         assert minmean_objective(0.3732051316) == pytest.approx(7.0321857865, abs=1e-7)
 
     def test_two_closed_forms_agree(self):
-        rng = RandomStream(55)
-        for _ in range(30):
-            k = next_uniform(rng, 0.08, 1.8)
+        for k in uniform_block(55, 0, 30, 0.08, 1.8).tolist():
             pair = angles_for(k)
             a, b = pair.alpha, pair.beta
             u, v = 1.0 / math.cos(a), 1.0 / math.cos(b)
@@ -149,9 +145,9 @@ class TestMinmeanSystem:
         assert abs(phi(direct) + psi(direct) - xi(direct)) < 1e-6
 
     def test_psi_negative(self):
-        rng = RandomStream(77)
+        u = iter(uniform_block(77, 0, 200).tolist())
         for _ in range(100):
-            pair = AnglePair(next_uniform(rng, 0.05, 1.5), next_uniform(rng, 0.05, 1.5))
+            pair = AnglePair(0.05 + 1.45 * next(u), 0.05 + 1.45 * next(u))
             assert psi(pair) < 0.0
 
     def test_duplicate_formula_oracle(self):
@@ -210,9 +206,7 @@ class TestErroneousObjective:
         assert minmax_objective(report.root_or_argmin) == pytest.approx(13.827, abs=1e-3)
 
     def test_ratio_to_true_objective(self):
-        rng = RandomStream(13)
-        for _ in range(20):
-            k = next_uniform(rng, 0.05, 2.0)
+        for k in uniform_block(13, 0, 20, 0.05, 2.0).tolist():
             ratio = minmax_objective(k) / erroneous_objective(k)
             assert ratio == pytest.approx(math.sqrt(1.0 + k * k), rel=1e-12)
 
