@@ -21,7 +21,7 @@ from .coil import (Coil, average_ratio, optimal_minmax_coil, optimal_minmean_coi
 from .numerics import Bracket, minimize_scalar, uniform_block
 from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, _inverse_table,
                        coil_marching_distance, mixed_strategy_sample, monte_carlo_mean_arclength,
-                       spiral_first_contact)
+                       scan_worst_ratio, spiral_first_contact)
 from .spiral_geometry import (LineGeneral, Spiral, line_distance_to_origin, second_contact,
                               spiral_tangent_slope)
 from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
@@ -115,7 +115,6 @@ def _check_monte_carlo_spiral() -> Tuple[bool, str]:
 
 
 def _check_coil_minmax() -> Tuple[bool, str]:
-    from .simulate import scan_worst_ratio
     gamma, ratio = optimal_minmax_coil()
     scanned = scan_worst_ratio(2.0, 100_000)
     conds = [abs(gamma - golden.COIL_MINMAX_GAMMA) <= 1e-9,

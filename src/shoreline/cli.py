@@ -223,8 +223,8 @@ def _parse_range(text: str):
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise ValueError("--range must be LO:HI with numeric bounds") from None
-    if not lo < hi:
-        raise ValueError("--range requires LO < HI")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("--range requires finite LO < HI")
     return lo, hi
 
 
@@ -251,7 +251,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> str:
     else:
         if args.kappa is None:
             raise ValueError("plot-data spiral-path requires --kappa")
-        k = args.kappa
+        k = Spiral(args.kappa).kappa
         rows = [(float(t), math.exp(k * t) * math.cos(t), math.exp(k * t) * math.sin(t))
                 for t in grid]
         header = "theta,x,y"

@@ -42,15 +42,21 @@ __all__ = [
 ]
 
 
+def _check_gamma(gamma: float) -> None:
+    """The one rule for an expansion ratio: finite and > 1 (NaN compares False)."""
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 1, not {gamma!r}")
+
+
 @dataclass(frozen=True)
 class Coil:
-    """Expansion ratio ``gamma`` > 1."""
+    """Expansion ratio ``gamma`` > 1.  It holds the one gamma rule,
+    `_check_gamma`, shared by `MixedStrategy` and the raw-gamma callers."""
 
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
-            raise ValueError("coil requires gamma > 1")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,7 @@ class MixedStrategy:
     expected_ratio: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 1.0:
-            raise ValueError("require gamma > 1")
+        _check_gamma(self.gamma)
         want = _mixed_ratio(self.gamma)
         if abs(self.expected_ratio - want) > 1e-12 * max(1.0, abs(want)):
             raise ValueError("expected_ratio inconsistent with gamma")
@@ -287,8 +292,7 @@ def _mixed_ratio(g: float) -> float:
 def mixed_expected_ratio(gamma: float) -> MixedStrategy:
     """Expected ratio E[delta(X)]/X of the phase-randomized coil family,
     1 + (gamma+1)/ln(gamma); independent of the (positive) target."""
-    if gamma <= 1.0:
-        raise ValueError("require gamma > 1")
+    _check_gamma(gamma)
     return MixedStrategy(gamma=gamma, expected_ratio=_mixed_ratio(gamma))
 
 

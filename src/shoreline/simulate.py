@@ -46,9 +46,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .coil import bracket_ratio
+from .coil import _check_gamma, bracket_ratio
 from .numerics import Bracket, NumericalError, _golden_section, find_root, uniform_block
-from .spiral_geometry import Spiral, arclength, contact_distance, tangent_contact
+from .spiral_geometry import Spiral, _check_kappa, arclength, contact_distance, tangent_contact
 
 __all__ = [
     "SimConfig",
@@ -253,8 +253,7 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
 
     Returns (theta_hit, arclength to theta_hit).
     """
-    if kappa <= 0.0:
-        raise ValueError("require kappa > 0")
+    _check_kappa(kappa)
     distance = functools.partial(contact_distance, kappa, omega)
 
     def contact(lo: float, hi: float) -> Tuple[float, float]:
@@ -298,8 +297,7 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     else bisected there.  An arclength beyond the float range is a
     NumericalError.
     """
-    if kappa <= 0.0:
-        raise ValueError("require kappa > 0")
+    _check_kappa(kappa)
     table = _inverse_table(kappa)
     hits = np.empty(cfg.samples)
     for start in range(0, cfg.samples, _BLOCK):
@@ -319,8 +317,7 @@ def coil_marching_distance(gamma: float, x: float, cfg: SimConfig) -> float:
     linear sweep exactly for position = x, so the result is exact up to
     floating point; no step size is involved.
     """
-    if gamma <= 1.0:
-        raise ValueError("require gamma > 1")
+    _check_gamma(gamma)
     if x == 0.0:
         raise ValueError("target at origin")
     ln_ratio = math.log(abs(x)) / math.log(gamma)
@@ -346,8 +343,7 @@ def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats
     gamma^(2i+H) < x <= gamma^(2i+2+H), and pays
     delta = x + 2*gamma^(2i+2+H)/(gamma-1).
     """
-    if gamma <= 1.0:
-        raise ValueError("require gamma > 1")
+    _check_gamma(gamma)
     if x <= 0.0:
         raise ValueError("require a positive target")
     phases = uniform_block(cfg.seed, 0, cfg.samples, 0.0, 2.0)
@@ -359,8 +355,7 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
     targets covering three periods, plus probes just above the jump points
     gamma^(2k) (positive side) and -gamma^(2k-1) (negative side) where the
     supremum is approached."""
-    if gamma <= 1.0:
-        raise ValueError("require gamma > 1")
+    _check_gamma(gamma)
     if points < 100:
         raise ValueError("require points >= 100")
     grid = gamma ** np.linspace(-3.0, 3.0, points // 2)

@@ -2,8 +2,8 @@
 
 Tangent lines of the spiral and of the distance-R circle, the unique line
 tangent to both (with its spiral-side contact angle theta0, circle-side
-tangency angle omega0, and second spiral contact theta1), the scaling of
-theta1 in R, and the arclength function.
+tangency angle omega0, and second spiral contact theta1), and the
+arclength function.
 """
 
 from __future__ import annotations
@@ -23,20 +23,26 @@ __all__ = [
     "tangent_contact",
     "contact_distance",
     "second_contact",
-    "scale_theta1",
     "arclength",
 ]
 
+
+def _check_kappa(kappa: float) -> None:
+    """The one rule for a growth rate: finite and > 0 (NaN compares False)."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and > 0, not {kappa!r}")
+
+
 @dataclass(frozen=True)
 class Spiral:
-    """Growth rate ``kappa`` (> 0) and shoreline distance ``radius`` (> 0)."""
+    """Growth rate ``kappa`` (> 0) and shoreline distance ``radius`` (> 0).
+    It holds the one kappa rule, `_check_kappa`, shared by raw-kappa callers."""
 
     kappa: float
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError("spiral requires kappa > 0")
+        _check_kappa(self.kappa)
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("spiral requires radius > 0")
 
@@ -120,7 +126,7 @@ def second_contact(spiral: Spiral) -> TangentContact:
     theta1 is the unique second solution of
     e^(kappa*theta) * cos(theta - omega0) = R with theta0 < theta < theta0 + 2*pi.
     It is solved at R = 1, where the residual `contact_distance` is of unit
-    scale, and shifted by ln(R)/kappa (`scale_theta1`).  The root is
+    scale, and shifted by ln(R)/kappa.  The root is
     bracketed on [omega0 + 3*pi/2, omega0 + 2*pi]: the residual is negative
     at the left end, where the cosine is zero to rounding, positive at the
     right end, and strictly increasing between (cos > 0 and sin < 0 there), so the bracket always
@@ -139,22 +145,11 @@ def second_contact(spiral: Spiral) -> TangentContact:
     report = find_root(lambda th: contact_distance(k, unit_omega0, th),
                        Bracket(lo, hi), tol=1e-15)
     return TangentContact(theta0=theta0, omega0=omega0,
-                          theta1=scale_theta1(k, report.root_or_argmin, R))
-
-
-def scale_theta1(kappa: float, theta1_at_unit: float, R: float) -> float:
-    """theta1 for shoreline distance ``R`` given theta1 at R = 1:
-    theta1(R) = theta1(1) + ln(R) / kappa."""
-    if kappa <= 0.0:
-        raise ValueError("require kappa > 0")
-    if R <= 0.0:
-        raise ValueError("require R > 0")
-    return theta1_at_unit + math.log(R) / kappa
+                          theta1=report.root_or_argmin + math.log(R) / k)
 
 
 def arclength(kappa: float, Theta: float) -> float:
     """Arclength of r = e^(kappa*theta) from theta = -infinity up to ``Theta``:
     sqrt(1 + kappa^2) / kappa * e^(kappa*Theta)."""
-    if kappa <= 0.0:
-        raise ValueError("require kappa > 0")
+    _check_kappa(kappa)
     return math.sqrt(1.0 + kappa * kappa) / kappa * math.exp(kappa * Theta)

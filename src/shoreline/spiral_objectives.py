@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .numerics import Bracket, SolveReport, minimize_scalar, solve_system2
-from .spiral_geometry import Spiral, second_contact
+from .spiral_geometry import Spiral, arclength, second_contact
 
 __all__ = [
     "AnglePair",
@@ -99,7 +99,7 @@ def minmax_objective(kappa: float) -> float:
     """Worst-case search arclength sqrt(1 + kappa^2)/kappa * e^(kappa*theta1)
     at R = 1."""
     _, _, theta1 = _contact_angles(kappa)
-    return math.sqrt(1.0 + kappa * kappa) / kappa * math.exp(kappa * theta1)
+    return arclength(kappa, theta1)
 
 
 def erroneous_objective(kappa: float) -> float:

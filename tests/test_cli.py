@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,33 @@ def test_sample_overflow_is_one_failure_line(argv):
     assert cp.stderr.startswith("numerical failure:") and cp.stderr.count("\n") == 1
 
 
+KAPPA_COMMANDS = [["spiral", "eval"], ["simulate", "spiral", "-n", "10"],
+                  ["plot-data", "spiral-path", "--range", "0:1"]]
+GAMMA_COMMANDS = [["coil", "eval", "--X", "3"], ["simulate", "coil", "-n", "10"],
+                  ["simulate", "mixed", "-n", "10"],
+                  ["plot-data", "delta-ratio", "--range", "0.5:8"],
+                  ["plot-data", "I", "--range", "1:4"]]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    pytest.param(cmd, flag, v, id=f"{cmd[0]}-{cmd[1]}-{v}")
+    for commands, flag, edge in ((KAPPA_COMMANDS, "--kappa", "0"),
+                                 (GAMMA_COMMANDS, "--gamma", "1"))
+    for cmd in commands for v in ("nan", "inf", "-inf", edge)])
+def test_parameter_outside_domain_is_usage_error(argv, flag, value, tmp_path, capsys):
+    # every command reads the one rule for kappa (finite, > 0) or gamma
+    # (finite, > 1): one error line, no numpy warning and no file written
+    out_file = tmp_path / "out.csv"
+    if argv[0] == "plot-data":
+        argv = argv + ["--out", str(out_file)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + [f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag.lstrip('-')} must be finite")
+    assert err.count("\n") == 1 and not caught and not out_file.exists()
+
+
 class TestPlotData:
     def test_delta_ratio_bounds(self, tmp_path: Path):
         out = tmp_path / "ratio.csv"
@@ -251,9 +279,17 @@ class TestPlotData:
                      "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv"))
         assert cp.returncode == 1
 
-    def test_bad_range(self):
-        cp = run_cli("plot-data", "I", "--gamma", "2", "--range", "4:1", "--out", "x.csv")
-        assert cp.returncode == 2
+    def test_bad_range(self, tmp_path: Path):
+        # a reversed or non-finite range is a usage error; run in a
+        # subprocess, where a numpy warning would reach stderr
+        out = tmp_path / "x.csv"
+        for argv in (["I", "--gamma", "2", "--range", "4:1"],
+                     ["spiral-path", "--kappa", "0.2", "--range=-inf:1"],
+                     ["delta-ratio", "--gamma", "2", "--range", "0:inf"]):
+            cp = run_cli("plot-data", *argv, "--out", str(out))
+            assert cp.returncode == 2
+            assert cp.stderr.startswith("error: --range") and "Warning" not in cp.stderr
+            assert not out.exists()
 
 
 class TestOutputFormats:

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from shoreline import golden, simulate
-from shoreline.coil import (Coil, bracket_ratio, mixed_expected_ratio, travel_distance,
-                            worst_case_ratio)
+from shoreline.coil import (Coil, MixedStrategy, bracket_ratio, mixed_expected_ratio,
+                            travel_distance, worst_case_ratio)
 from shoreline.numerics import uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
                                 _bisect_contacts, _first_contacts, _inverse_table,
                                 coil_marching_distance, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact, summarize)
-from shoreline.spiral_geometry import Spiral, contact_distance, second_contact, tangent_contact
+from shoreline.spiral_geometry import (Spiral, arclength, contact_distance, second_contact,
+                                       tangent_contact)
 from shoreline.spiral_objectives import minmax_objective, minmean_objective
 
 TWO_PI = 2.0 * math.pi
@@ -355,3 +356,27 @@ class TestSampleStats:
             SimConfig(seed=1, samples=0)
         with pytest.raises(ValueError):
             SimConfig(seed=1, samples=10, march_step=-0.1)
+
+
+# Each function that takes a raw kappa or gamma, with the boundary value of
+# its parameter (kappa = 0, gamma = 1).
+RAW_PARAMETER_CALLS = {
+    "arclength": (lambda k: arclength(k, 1.0), 0.0),
+    "spiral_first_contact": (lambda k: spiral_first_contact(k, 0.5, MC_CFG), 0.0),
+    "monte_carlo_mean_arclength":
+        (lambda k: monte_carlo_mean_arclength(k, SimConfig(samples=10)), 0.0),
+    "coil_marching_distance": (lambda g: coil_marching_distance(g, 3.0, CFG), 1.0),
+    "mixed_strategy_sample": (lambda g: mixed_strategy_sample(g, 1.0, SimConfig(samples=10)), 1.0),
+    "scan_worst_ratio": (lambda g: scan_worst_ratio(g, 1000), 1.0),
+    "mixed_expected_ratio": (mixed_expected_ratio, 1.0),
+    "MixedStrategy": (lambda g: MixedStrategy(gamma=g, expected_ratio=3.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", RAW_PARAMETER_CALLS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "edge"])
+def test_parameter_outside_domain_is_value_error(name, value):
+    # each reads the one rule for its parameter
+    call, edge = RAW_PARAMETER_CALLS[name]
+    with pytest.raises(ValueError, match="must be finite"):
+        call(edge if value == "edge" else float(value))

@@ -5,7 +5,7 @@ import pytest
 
 from shoreline.numerics import integrate, uniform_block
 from shoreline.spiral_geometry import (LineGeneral, Spiral, TangentContact, arclength,
-                                       line_distance_to_origin, scale_theta1,
+                                       contact_distance, line_distance_to_origin,
                                        second_contact, spiral_tangent_slope,
                                        tangent_contact)
 
@@ -164,14 +164,22 @@ class TestSecondContact:
 
 
 class TestScaleTheta1:
+    """second_contact solves theta1 at R = 1 and shifts it by ln(R)/kappa."""
+
     def test_unit_radius(self):
-        assert scale_theta1(0.5, 4.0, 1.0) == 4.0
+        # no shift at R = 1: the unit-scale residual changes sign at theta1
+        c = second_contact(Spiral(0.5, 1.0))
+        step = 2.0 * math.ulp(c.theta1)
+        assert c.omega0 == tangent_contact(Spiral(0.5))[1]
+        assert contact_distance(0.5, c.omega0, c.theta1 - step) < 0.0
+        assert contact_distance(0.5, c.omega0, c.theta1 + step) > 0.0
 
     def test_e_radius(self):
-        assert scale_theta1(0.5, 4.0, math.e) == pytest.approx(6.0, abs=1e-14)
+        shift = second_contact(Spiral(0.5, math.e)).theta1 - second_contact(Spiral(0.5)).theta1
+        assert shift == pytest.approx(2.0, abs=1e-14)
 
     def test_defining_equation_over_forty_decades(self):
-        # second_contact shifts theta1 by scale_theta1, so the shifted value
+        # second_contact shifts theta1 by ln(R)/kappa, so the shifted value
         # is checked against the defining equation in log form, R log-uniform
         u = iter(uniform_block(17, 0, 80).tolist())
         for _ in range(40):
