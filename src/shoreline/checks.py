@@ -130,8 +130,7 @@ def _check_coil_points() -> Tuple[bool, str]:
     cfg = SimConfig(seed=0, samples=1)
     d_plus = travel_distance(coil, 1.0).delta
     d_minus = travel_distance(coil, -1.0).delta
-    m_plus = coil_marching_distance(2.0, 1.0, cfg)
-    m_minus = coil_marching_distance(2.0, -1.0, cfg)
+    m_plus, m_minus = coil_marching_distance(2.0, np.array([1.0, -1.0]), cfg).tolist()
     conds = [abs(d_plus - golden.COIL_DELTA_PLUS_ONE) <= 1e-12,
              abs(d_minus - golden.COIL_DELTA_MINUS_ONE) <= 1e-12,
              abs(m_plus - d_plus) <= 1e-12,

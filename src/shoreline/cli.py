@@ -167,16 +167,6 @@ def _cmd_coil(args: argparse.Namespace) -> OutputRecord:
     return rec
 
 
-def _finite_target(x: Optional[float]) -> float:
-    """The simulated target ``--X`` (1 when omitted), which must be finite
-    and positive."""
-    if x is None:
-        return 1.0
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError("--X must be a finite positive target")
-    return x
-
-
 def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
     cfg = SimConfig(seed=args.seed, samples=args.n)
     rec = OutputRecord(command=f"simulate {args.target}",
@@ -187,27 +177,21 @@ def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
         rec.parameters["kappa"] = args.kappa
         stats = monte_carlo_mean_arclength(args.kappa, cfg)
         reference = minmean_objective(args.kappa)
-    elif args.target == "coil":
-        if args.gamma is None:
-            raise ValueError("simulate coil requires --gamma")
-        x0 = _finite_target(args.X)
-        rec.parameters["gamma"] = args.gamma
-        rec.parameters["X"] = x0
-        draws = uniform_block(args.seed, 0, args.n, -x0, x0)
-        ratios = np.empty(args.n)
-        for idx, xv in enumerate(draws):
-            xv = float(xv) if xv != 0.0 else x0  # measure-zero draw at the origin
-            ratios[idx] = coil_marching_distance(args.gamma, xv, cfg) / abs(xv)
-        stats = summarize(ratios)
-        reference = average_ratio(Coil(args.gamma), x0)
     else:
         if args.gamma is None:
-            raise ValueError("simulate mixed requires --gamma")
-        x0 = _finite_target(args.X)
-        rec.parameters["gamma"] = args.gamma
-        rec.parameters["X"] = x0
-        stats = mixed_strategy_sample(args.gamma, x0, cfg)
-        reference = mixed_expected_ratio(args.gamma).expected_ratio
+            raise ValueError(f"simulate {args.target} requires --gamma")
+        x0 = 1.0 if args.X is None else args.X
+        if not (math.isfinite(x0) and x0 > 0.0):
+            raise ValueError("--X must be a finite positive target")
+        rec.parameters.update(gamma=args.gamma, X=x0)
+        if args.target == "coil":
+            draws = uniform_block(args.seed, 0, args.n, -x0, x0)
+            draws[draws == 0.0] = x0  # measure-zero draw at the origin
+            stats = summarize(coil_marching_distance(args.gamma, draws, cfg) / np.abs(draws))
+            reference = average_ratio(Coil(args.gamma), x0)
+        else:
+            stats = mixed_strategy_sample(args.gamma, x0, cfg)
+            reference = mixed_expected_ratio(args.gamma).expected_ratio
     z = (stats.mean - reference) / stats.std_error if stats.std_error > 0.0 else 0.0
     rec.results = {
         "mean": stats.mean, "std_error": stats.std_error, "n": stats.n,

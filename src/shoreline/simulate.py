@@ -3,9 +3,9 @@
 Nothing here trusts the closed forms it is used to check: a single spiral
 first contact is found by marching the trajectory against the line and
 refining the detected sign change with `find_root`; coil travel distances
-are found by walking the zig-zag segments and solving each linear piece
-exactly; the Monte Carlo drivers average primitive measurements over
-seeded, reproducible random draws.
+are found by walking the zig-zag segments, for a whole array of targets at
+once, and solving each linear piece exactly; the Monte Carlo drivers
+average primitive measurements over seeded, reproducible random draws.
 
 The spiral Monte Carlo driver needs no march.  The spiral can reach the
 line only on the windows |theta - omega - 2*pi*m| < pi/2 (integer m).  On
@@ -86,7 +86,7 @@ class SimConfig:
     """Simulation parameters.
 
     ``march_step`` is in radians for the scalar spiral march
-    `spiral_first_contact` (t-units are not needed: coil marching is
+    `spiral_first_contact` (the coil walk runs over arrays of targets and is
     segment-exact).  `find_root` refines each crossing to a distance residual
     or bracket width of 1e-15 regardless of the march step; the step only
     controls how finely crossings are scouted, near-tangent cases being
@@ -309,29 +309,46 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
         return summarize(factor * np.exp(kappa * hits))
 
 
-def coil_marching_distance(gamma: float, x: float, cfg: SimConfig) -> float:
-    """Travel distance to the signed target ``x``, found by walking the coil
-    trajectory segment by segment.
-
-    Starts a few segments below any that could reach ``x`` and solves each
-    linear sweep exactly for position = x, so the result is exact up to
-    floating point; no step size is involved.
-    """
+def coil_marching_distance(gamma: float, x: float | np.ndarray,
+                           cfg: SimConfig) -> float | np.ndarray:
+    """Travel distance to each signed target in ``x`` (a float gives a float)
+    by walking the coil's segments; ``cfg`` is unused.  Segment k sweeps from
+    (-gamma)^k to (-gamma)^(k+1), and the first one whose end points enclose
+    x is solved exactly.  Rows start at k0 = floor(r) - 2, r = ln|x|/ln(gamma)
+    less an 8-ulp rounding bound: segment k reaches at most gamma^(k+1) and
+    k0 <= r - 2, so no earlier segment reaches |x|, with gamma^2 to spare.
+    Turning points come from Python's ``**`` (libm pow, as in `bracket_index`)
+    where rows walk, for |k| < 2^53 only: past it a double k is always even."""
     _check_gamma(gamma)
-    if x == 0.0:
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    if not xs.all():
         raise ValueError("target at origin")
-    ln_ratio = math.log(abs(x)) / math.log(gamma)
-    k = min(math.floor(2.0 * ln_ratio) - 6, math.floor(ln_ratio) - 2)
-    for _ in range(1000):
-        start = (-gamma) ** k
-        end = (-gamma) ** (k + 1)
-        if math.isinf(start) or math.isinf(end):
-            raise NumericalError("overflow: target beyond representable sweeps")
-        if end != start:
-            tau = (x - start) / (end - start)
-            if 0.0 <= tau <= 1.0:
-                return (gamma + 1.0) * gamma ** k * (1.0 / (gamma - 1.0) + tau)
-        k += 1
+    if not np.isfinite(xs).all():
+        raise NumericalError("non-finite target")
+    r = np.log(np.abs(xs)) / math.log(gamma)
+    first, group = np.unique(np.floor(r - 2.0 ** -49 * np.abs(r)).astype(np.int64) - 2,
+                             return_inverse=True)
+    if max(-first[0], first[-1] + 1000) >= 2 ** 53:
+        raise NumericalError("turning-point index beyond exact doubles")
+    # Pass 0 only reads the turning points at k0 (a NaN start encloses no x);
+    # as in scalar float arithmetic, an overflow gives inf or NaN.
+    deltas, rows, start = np.empty(xs.size), np.arange(xs.size), np.full(xs.size, np.nan)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for step in range(1001):
+            live = np.flatnonzero(np.bincount(group, minlength=first.size))
+            end = np.empty(first.size)
+            try:
+                end[live] = [(-gamma) ** k for k in (first[live] + step).tolist()]
+            except OverflowError:
+                raise NumericalError("overflow: target beyond representable sweeps") from None
+            end, x_rows = end[group], xs[rows]
+            tau = (x_rows - start) / (end - start)
+            hit = (np.minimum(start, end) <= x_rows) & (x_rows <= np.maximum(start, end))
+            deltas[rows[hit]] = ((gamma + 1.0) * np.abs(start[hit])
+                                 * (1.0 / (gamma - 1.0) + tau[hit]))
+            rows, group, start = rows[~hit], group[~hit], end[~hit]
+            if not rows.size:
+                return float(deltas[0]) if np.ndim(x) == 0 else deltas
     raise NumericalError("no segment reached the target")
 
 

@@ -4,15 +4,16 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from shoreline.cli import main
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: Optional[float] = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "shoreline", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
 
 
 class TestSpiralCommands:
@@ -202,6 +203,22 @@ def test_sample_overflow_is_one_failure_line(argv):
     # statistics of overflowing samples fail without numpy warning text; run
     # in a subprocess, where a warning would reach stderr instead of pytest
     cp = run_cli(*argv)
+    assert cp.returncode == 1
+    assert cp.stdout == "" and "Warning" not in cp.stderr
+    assert cp.stderr.startswith("numerical failure:") and cp.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # at gamma = 1 + 1e-9 the 1000 draws on [-1e300, 1e300] start about 1e10
+    # segments apart; the walk reads turning points only where rows are, and
+    # the overflowing distances fail as one classified line
+    ["--gamma", "1.000000001", "--X", "1e300", "-n", "1000"],
+    # at gamma = 1 + 1e-14 and |X| <= 1e-300 the segment index is near 7e16,
+    # past 2^53, where (-gamma)**k loses its sign; the 1e5 rows fail at once
+    ["--gamma", "1.00000000000001", "--X", "1e-300"],
+])
+def test_coil_walk_spanning_many_segments_fails_fast(argv):
+    cp = run_cli("simulate", "coil", *argv, timeout=10.0)
     assert cp.returncode == 1
     assert cp.stdout == "" and "Warning" not in cp.stderr
     assert cp.stderr.startswith("numerical failure:") and cp.stderr.count("\n") == 1

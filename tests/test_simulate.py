@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from shoreline import golden, simulate
+from shoreline.cli import main
 from shoreline.coil import (Coil, MixedStrategy, bracket_ratio, mixed_expected_ratio,
                             travel_distance, worst_case_ratio)
-from shoreline.numerics import uniform_block
+from shoreline.numerics import NumericalError, uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
                                 _bisect_contacts, _first_contacts, _inverse_table,
                                 coil_marching_distance, mixed_strategy_sample,
@@ -270,6 +272,96 @@ class TestCoilMarching:
     def test_target_at_origin(self):
         with pytest.raises(ValueError, match="origin"):
             coil_marching_distance(2.0, 0.0, CFG)
+        with pytest.raises(ValueError, match="origin"):
+            coil_marching_distance(2.0, np.array([1.5, 0.0, -3.0]), CFG)
+
+    def test_overflow_is_classified(self):
+        # the turning point 2^1024 past 1.7e308 overflows; so does the
+        # width of [-X, X] that `simulate coil` samples at X = 1e308
+        with pytest.raises(NumericalError, match="^overflow:"):
+            coil_marching_distance(2.0, np.array([1.0, 1.7e308]), CFG)
+        with pytest.raises(NumericalError, match="non-finite target"):
+            coil_marching_distance(2.0, np.array([1.0, math.inf]), CFG)
+
+    def test_inexact_turning_point_index(self):
+        # |r| = ln(1e300)/ln(1 + 1e-14) is near 6.9e16 > 2^53: k is no longer
+        # an exact double and (-gamma)**k would come out positive for every k
+        for x in (1e-300, -1e-300, 1e300, np.array([1.0, 1e-300])):
+            with pytest.raises(NumericalError, match="index beyond exact doubles"):
+                coil_marching_distance(1.0 + 1e-14, x, CFG)
+
+    @pytest.mark.parametrize("g", [1.0 + 1e-9, 1.05, 2.0, 3.591121476668622, 40.0])
+    def test_matches_reference_loop(self, g):
+        # the walk's arithmetic is the loop's, so the rows equal it exactly;
+        # targets spread over 40 decades of |X| on each side of 1
+        u = uniform_block(61, 0, 600)
+        targets = np.where(u[:300] < 0.5, -1.0, 1.0) * 10.0 ** (-20.0 + 40.0 * u[300:])
+        walked = coil_marching_distance(g, targets, CFG)
+        for x, delta in zip(targets.tolist(), walked.tolist()):
+            start = math.floor(math.log(abs(x)) / math.log(g)) - 40
+            assert delta == _reference_walk(g, x, start), (g, x)
+
+    @pytest.mark.parametrize("g", [1.1, 1.5, 2.0, 3.591121476668622, 4.464])
+    def test_exact_turning_points(self, g):
+        # +-gamma^k as Python ** rounds them, and the doubles on either side;
+        # at gamma = 4.464, X = gamma**2 numpy's pow and libm's disagree
+        targets = []
+        for k in range(-40, 41):
+            turn = g ** k
+            for mag in (turn, math.nextafter(turn, 0.0), math.nextafter(turn, math.inf)):
+                targets += [mag, -mag]
+        walked = coil_marching_distance(g, np.array(targets), CFG)
+        for x, delta in zip(targets, walked.tolist()):
+            assert coil_marching_distance(g, x, CFG) == delta, (g, x)
+            assert delta == pytest.approx(travel_distance(Coil(g), x).delta,
+                                          rel=1e-14, abs=0.0), (g, x)
+
+    def test_start_margin_near_one(self):
+        # at gamma = 1 + 1e-12, |r| = |ln X / ln gamma| is near 7e14, where
+        # its rounding approaches one segment; a walk from 40 segments
+        # earlier finds the same first hit
+        g = 1.0 + 1e-12
+        targets = [1e-300, -1e-300, 1e290, -1e290]
+        walked = coil_marching_distance(g, np.array(targets), CFG)
+        for x, delta in zip(targets, walked.tolist()):
+            start = math.floor(math.log(abs(x)) / math.log(g)) - 40
+            assert delta == _reference_walk(g, x, start)
+            assert delta == pytest.approx(travel_distance(Coil(g), x).delta, rel=1e-14)
+        # the distance itself is beyond the float range at |X| = 1e300
+        assert coil_marching_distance(g, np.array([1e300, -1e300]), CFG).tolist() == [math.inf] * 2
+
+
+def _reference_walk(gamma: float, x: float, k: int) -> float:
+    """The travel distance to ``x`` walked one segment at a time from
+    segment ``k``, which must lie below the first hit."""
+    while True:
+        start, end = (-gamma) ** k, (-gamma) ** (k + 1)
+        if min(start, end) <= x <= max(start, end):
+            tau = (x - start) / (end - start)
+            return (gamma + 1.0) * gamma ** k * (1.0 / (gamma - 1.0) + tau)
+        k += 1
+
+
+# `simulate coil` at three points, as the per-sample loop that the array walk
+# replaced printed them: (gamma, X, seed) -> (mean, std_error, min, max), n = 1000
+SIMULATE_COIL_PINNED = {
+    (2.0, 3.0, 7): (5.408694011374689, 0.05474523271347036,
+                    3.0002318509589903, 8.999840494621884),
+    (3.0, 2.5e-7, 3): (4.792473311893628, 0.0735545427736289,
+                       2.00087504758325, 9.996917273612079),
+    (1.05, 5.0, 11): (42.989000959541045, 0.03695439389674062,
+                      41.00180486873237, 45.0946391685866),
+}
+
+
+@pytest.mark.parametrize("point", SIMULATE_COIL_PINNED)
+def test_simulate_coil_is_bit_identical(point, capsys):
+    gamma, x, seed = point
+    argv = ["simulate", "coil", "--gamma", repr(gamma), "--X", repr(x), "-n", "1000",
+            "--seed", str(seed), "--format", "json"]
+    assert main(argv) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["mean"], res["std_error"], res["min"], res["max"]) == SIMULATE_COIL_PINNED[point]
 
 
 class TestMixedStrategySample:
