@@ -22,8 +22,7 @@ from .numerics import Bracket, minimize_scalar, uniform_block
 from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, _inverse_table,
                        coil_marching_distance, mixed_strategy_sample, monte_carlo_mean_arclength,
                        scan_worst_ratio, spiral_first_contact)
-from .spiral_geometry import (LineGeneral, Spiral, line_distance_to_origin, second_contact,
-                              spiral_tangent_slope)
+from .spiral_geometry import Spiral, contact_distance, second_contact
 from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
                                 minmax_objective, minmax_system_objective,
                                 minmax_system_residuals, solve_minmax_system,
@@ -220,16 +219,17 @@ def _check_property_suites() -> Tuple[bool, str]:
             failures.append(f"theta1 defining equation kappa={k} R={R}")
             break
 
-    # Tangency: the spiral's tangent line at theta0 sits at distance R.
+    # Tangency: theta0 is a double root of the contact distance to the line
+    # tangent to the circle of radius R at omega0 (d = 0 and d' = 0), taken
+    # at R = 1 by the shift ln(R)/kappa.
     for _ in range(200):
         k = draw(0.05, 2.0)
         R = draw(0.1, 10.0)
         contact = second_contact(Spiral(k, R))
-        th0 = contact.theta0
-        m = spiral_tangent_slope(k, th0)
-        r0 = R / math.cos(th0 - contact.omega0)
-        line = LineGeneral(m, -1.0, r0 * (math.sin(th0) - m * math.cos(th0)))
-        if abs(line_distance_to_origin(line) - R) > 1e-10 * max(1.0, R):
+        shift = math.log(R) / k
+        th0, om0 = contact.theta0 - shift, contact.omega0 - shift
+        slope = math.exp(k * th0) * (k * math.cos(th0 - om0) - math.sin(th0 - om0))
+        if max(abs(contact_distance(k, om0, th0)), abs(slope)) > 1e-14:
             failures.append(f"tangency kappa={k} R={R}")
             break
 

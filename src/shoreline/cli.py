@@ -18,6 +18,7 @@ digits, shortest round-trip).  Exit codes: 0 success, 1 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,7 +258,11 @@ def _cmd_check() -> int:
     return 0 if not failed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared by every later
+    `main` call in the process: it holds only immutable defaults, and each
+    ``parse_args`` makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="shoreline",
         description="Optimal spiral and coil search paths for an unknown shoreline.")

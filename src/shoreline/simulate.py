@@ -318,7 +318,9 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
     less an 8-ulp rounding bound: segment k reaches at most gamma^(k+1) and
     k0 <= r - 2, so no earlier segment reaches |x|, with gamma^2 to spare.
     Turning points come from Python's ``**`` (libm pow, as in `bracket_index`)
-    where rows walk, for |k| < 2^53 only: past it a double k is always even."""
+    where rows walk, for |k| < 2^53 only: past it a double k is always even.
+    A segment that starts at a subnormal or zero turning point has lost the
+    digits of delta, so a target it reaches raises."""
     _check_gamma(gamma)
     xs = np.asarray(x, dtype=float).reshape(-1)
     if not xs.all():
@@ -344,8 +346,11 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
             end, x_rows = end[group], xs[rows]
             tau = (x_rows - start) / (end - start)
             hit = (np.minimum(start, end) <= x_rows) & (x_rows <= np.maximum(start, end))
-            deltas[rows[hit]] = ((gamma + 1.0) * np.abs(start[hit])
-                                 * (1.0 / (gamma - 1.0) + tau[hit]))
+            mag = np.abs(start[hit])
+            if (mag < np.finfo(float).tiny).any():
+                raise NumericalError("underflow: a target's segment starts at a "
+                                     "subnormal turning point")
+            deltas[rows[hit]] = (gamma + 1.0) * mag * (1.0 / (gamma - 1.0) + tau[hit])
             rows, group, start = rows[~hit], group[~hit], end[~hit]
             if not rows.size:
                 return float(deltas[0]) if np.ndim(x) == 0 else deltas

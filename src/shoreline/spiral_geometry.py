@@ -1,9 +1,9 @@
 """Exact geometry of the outward logarithmic spiral r = e^(kappa * theta).
 
-Tangent lines of the spiral and of the distance-R circle, the unique line
-tangent to both (with its spiral-side contact angle theta0, circle-side
-tangency angle omega0, and second spiral contact theta1), and the
-arclength function.
+The unique line tangent to both the spiral and the distance-R circle (with
+its spiral-side contact angle theta0, circle-side tangency angle omega0, and
+second spiral contact theta1), the contact distance, and the arclength
+function.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ from .numerics import Bracket, NumericalError, find_root
 
 __all__ = [
     "Spiral",
-    "LineGeneral",
     "TangentContact",
-    "line_distance_to_origin",
-    "spiral_tangent_slope",
     "tangent_contact",
     "contact_distance",
     "second_contact",
@@ -48,19 +45,6 @@ class Spiral:
 
 
 @dataclass(frozen=True)
-class LineGeneral:
-    """A line in general form a*x + b*y + c = 0 with (a, b) != (0, 0)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a == 0.0 and self.b == 0.0:
-            raise ValueError("degenerate line: (a, b) must not both be zero")
-
-
-@dataclass(frozen=True)
 class TangentContact:
     """Contact angles of the doubly tangent line: tangency at ``theta0`` on
     the spiral and ``omega0`` on the circle, and the second spiral contact
@@ -74,25 +58,6 @@ class TangentContact:
     def __post_init__(self) -> None:
         if not self.omega0 < self.theta0 < self.theta1 < self.theta0 + math.tau:
             raise ValueError("contact angles out of order")
-
-
-def line_distance_to_origin(line: LineGeneral) -> float:
-    """Distance from the origin to the line a*x + b*y + c = 0."""
-    return abs(line.c) / math.hypot(line.a, line.b)
-
-
-def spiral_tangent_slope(kappa: float, theta: float) -> float:
-    """Slope of the spiral's tangent line at parameter ``theta``.
-
-    m = (kappa*sin(theta) + cos(theta)) / (kappa*cos(theta) - sin(theta)).
-    Raises where the tangent is vertical; callers needing the vertical case
-    should build the LineGeneral form instead.
-    """
-    num = kappa * math.sin(theta) + math.cos(theta)
-    den = kappa * math.cos(theta) - math.sin(theta)
-    if den == 0.0:
-        raise ValueError("vertical tangent: slope undefined")
-    return num / den
 
 
 def tangent_contact(spiral: Spiral) -> Tuple[float, float]:

@@ -8,7 +8,8 @@ from typing import Optional
 
 import pytest
 
-from shoreline.cli import main
+from shoreline import golden
+from shoreline.cli import build_parser, main
 
 
 def run_cli(*args: str, timeout: Optional[float] = None) -> subprocess.CompletedProcess:
@@ -222,6 +223,45 @@ def test_coil_walk_spanning_many_segments_fails_fast(argv):
     assert cp.returncode == 1
     assert cp.stdout == "" and "Warning" not in cp.stderr
     assert cp.stderr.startswith("numerical failure:") and cp.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma", ["7", "1.5"])
+def test_underflowed_turning_point_is_one_failure_line(gamma, capsys):
+    # draws of +-5e-324 sit in segments that start at a turning point
+    # rounded to 0 or a subnormal, whose delta would fall below |X|
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "coil", "--gamma", gamma, "--X", "5e-324", "-n", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not caught
+    assert err.startswith("numerical failure: simulate coil (") and "underflow:" in err
+    assert err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # main shares one parser per process; successes, usage errors and
+    # numerical failures in between leave nothing behind for the next call
+    assert build_parser() is build_parser()
+    first = ["coil", "eval", "--gamma", "2", "--X", "3", "--format", "json"]
+    assert main(first) == 0
+    out = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["coil", "eval", "--gamma", "2", "--X", "3", "--format", "yaml"])
+    assert exc.value.code == 2
+    assert main(["spiral", "eval", "--kappa", "1000"]) == 1
+    assert main(["spiral", "eval", "--kappa", "0.5", "--R=-2"]) == 2
+    capsys.readouterr()
+    assert main(first) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_parser_defaults_do_not_leak_between_calls(capsys):
+    assert main(["simulate", "coil", "--gamma", "2", "--X", "5", "-n", "10", "--seed", "3",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["seed"] == 3
+    assert main(["simulate", "coil", "--gamma", "2", "-n", "10", "--format", "json"]) == 0
+    params = json.loads(capsys.readouterr().out)["parameters"]
+    assert params["X"] == 1.0 and params["seed"] == golden.CHECK_SEED
 
 
 KAPPA_COMMANDS = [["spiral", "eval"], ["simulate", "spiral", "-n", "10"],

@@ -269,6 +269,24 @@ class TestCoilMarching:
             x = (g ** (-4.0 + 8.0 * next(u))) * (1 if next(u) < 0.5 else -1)
             assert coil_marching_distance(g, x, CFG) >= abs(x)
 
+    def test_array_never_less_than_distance(self):
+        # seeded rows over 560 decades of |X|: every row's segment starts at
+        # a normal turning point, and delta >= |X| as `CoilHit` requires
+        u = uniform_block(47, 0, 4020)
+        for g, row in zip(10.0 ** (3.0 * u[:20]) + 0.01, u[20:].reshape(20, 200)):
+            targets = np.where(row[:100] < 0.5, -1.0, 1.0) * 10.0 ** (-280.0 + 560.0 * row[100:])
+            assert (coil_marching_distance(g, targets, CFG) >= np.abs(targets)).all(), g
+
+    @pytest.mark.parametrize("g, x", [(1e300, -5e-301), (7.0, 5e-324), (1.5, -5e-324),
+                                      (2.0, 1e-310)])
+    def test_subnormal_turning_point_is_classified(self, g, x):
+        # the segment reaching x starts at a turning point below the normal
+        # range (0.0 at gamma = 1e300), so delta = (gamma + 1)*|start|*(...)
+        # would fall below |x|; the float and the array form both raise
+        for target in (x, np.array([1.0, x, -3.0])):
+            with pytest.raises(NumericalError, match="^underflow:"):
+                coil_marching_distance(g, target, CFG)
+
     def test_target_at_origin(self):
         with pytest.raises(ValueError, match="origin"):
             coil_marching_distance(2.0, 0.0, CFG)

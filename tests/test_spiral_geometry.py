@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from shoreline.numerics import integrate, uniform_block
-from shoreline.spiral_geometry import (LineGeneral, Spiral, TangentContact, arclength,
-                                       contact_distance, line_distance_to_origin,
-                                       second_contact, spiral_tangent_slope,
-                                       tangent_contact)
+from shoreline.spiral_geometry import (Spiral, TangentContact, arclength, contact_distance,
+                                       second_contact, tangent_contact)
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,49 +25,24 @@ def assert_root_of_log_equation(k, R, contact, ulps=4):
     assert log_eq(th1 - step) < 0.0 <= log_eq(th1 + step), (k, R)
 
 
+def assert_double_root(k, rho, omega, theta):
+    """theta is a double root of the contact distance to the line tangent to
+    the circle of radius ``rho`` at ``omega``: d = 0 and d' = 0 to rounding,
+    taken at rho = 1 by the shift ln(rho)/kappa."""
+    shift = math.log(rho) / k
+    th, om = theta - shift, omega - shift
+    slope = math.exp(k * th) * (k * math.cos(th - om) - math.sin(th - om))
+    assert abs(contact_distance(k, om, th)) <= 1e-14, (k, rho)
+    assert abs(slope) <= 1e-14, (k, rho)
+
+
 class TestLineDistance:
-    def test_horizontal(self):
-        assert line_distance_to_origin(LineGeneral(0.0, 1.0, -1.0)) == 1.0
-
-    def test_three_four_five(self):
-        assert line_distance_to_origin(LineGeneral(3.0, 4.0, -10.0)) == pytest.approx(2.0)
-
     def test_spiral_tangent_identity(self):
-        # tangent line of the spiral at theta written in general form has
-        # distance e^(k*theta)/sqrt(1+k^2) from the origin
+        # the spiral's tangent line at theta, with normal angle
+        # theta - arctan(kappa), lies at distance e^(k*theta)/sqrt(1+k^2)
         for k, th in [(1.0, 0.0), (0.5, 0.3), (2.0, -1.0)]:
-            m = spiral_tangent_slope(k, th)
-            r = math.exp(k * th)
-            line = LineGeneral(m, -1.0, r * (math.sin(th) - m * math.cos(th)))
-            assert line_distance_to_origin(line) == pytest.approx(
-                r / math.sqrt(1.0 + k * k), rel=1e-12)
-
-    def test_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            LineGeneral(0.0, 0.0, 1.0)
-
-
-class TestSpiralTangentSlope:
-    def test_unit_kappa_origin_angle(self):
-        assert spiral_tangent_slope(1.0, 0.0) == 1.0
-
-    def test_theta_zero_general(self):
-        for k in (0.2, 0.5, 1.7):
-            assert spiral_tangent_slope(k, 0.0) == pytest.approx(1.0 / k, rel=1e-15)
-
-    def test_finite_difference_oracle(self):
-        k, th, h = 0.5, 0.3, 1e-6
-        x = lambda t: math.exp(k * t) * math.cos(t)
-        y = lambda t: math.exp(k * t) * math.sin(t)
-        fd = (y(th + h) - y(th - h)) / (x(th + h) - x(th - h))
-        assert spiral_tangent_slope(k, th) == pytest.approx(fd, abs=1e-8)
-
-    def test_vertical(self):
-        # kappa = tan(theta) makes the denominator exactly zero in floats here
-        th = 0.001
-        assert math.tan(th) * math.cos(th) - math.sin(th) == 0.0
-        with pytest.raises(ValueError, match="vertical"):
-            spiral_tangent_slope(math.tan(th), th)
+            rho = math.exp(k * th) / math.sqrt(1.0 + k * k)
+            assert_double_root(k, rho, th - math.atan(k), th)
 
 
 class TestTangentContact:
@@ -226,14 +199,11 @@ class TestArclength:
 
 
 def test_tangency_line_distance_equals_radius():
-    # the spiral's tangent line at theta0 lies at distance exactly R
-    # from the origin
+    # the spiral's tangent line at theta0 is the circle's tangent at omega0:
+    # theta0 is a double root of the contact distance at distance R
     u = iter(uniform_block(29, 0, 100).tolist())
     for _ in range(50):
         k = 0.05 + 1.95 * next(u)
         R = 0.1 + 9.9 * next(u)
-        th0, _ = tangent_contact(Spiral(k, R))
-        m = spiral_tangent_slope(k, th0)
-        r = math.exp(k * th0)
-        line = LineGeneral(m, -1.0, r * (math.sin(th0) - m * math.cos(th0)))
-        assert abs(line_distance_to_origin(line) - R) <= 1e-10 * max(1.0, R)
+        th0, om0 = tangent_contact(Spiral(k, R))
+        assert_double_root(k, R, om0, th0)
