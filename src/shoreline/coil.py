@@ -32,8 +32,6 @@ __all__ = [
     "bracket_ratio",
     "worst_case_ratio",
     "optimal_minmax_coil",
-    "bracket_integral_pos",
-    "bracket_integral_neg",
     "average_ratio",
     "ratio_extrema",
     "optimal_minmean_coil",
@@ -137,6 +135,29 @@ def _turn_offset(target: float) -> int:
     return 0 if target > 0.0 else -1
 
 
+def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
+    """The bracket rule of `bracket_index`: (i, g^(2i+c), g^(2i+2+c)) for
+    magnitude ``xa`` at offset ``c``, given r = ln(xa)/(2 ln g).  Each power
+    is computed once, and a nudge up reuses the upper one as the lower."""
+    i = math.ceil(r - (1.0 + 0.5 * c))
+    lo = g ** (2 * i + c)
+    while lo >= xa:
+        i -= 1
+        lo = g ** (2 * i + c)
+    hi = g ** (2 * i + 2 + c)
+    while hi < xa:
+        i += 1
+        lo, hi = hi, g ** (2 * i + 2 + c)
+    return i, lo, hi
+
+
+def _target_bracket(coil: Coil, target: float) -> Tuple[int, float, float]:
+    if target == 0.0:
+        raise ValueError("target at origin")
+    g, xa = coil.gamma, abs(target)
+    return _bracket(g, xa, _turn_offset(target), math.log(xa) / (2.0 * math.log(g)))
+
+
 def bracket_index(coil: Coil, target: float) -> int:
     """Bracket index of a signed target.
 
@@ -147,16 +168,7 @@ def bracket_index(coil: Coil, target: float) -> int:
     misround in floating point when |X| sits at a power of gamma; the
     inequalities are authoritative.
     """
-    g = coil.gamma
-    if target == 0.0:
-        raise ValueError("target at origin")
-    xa, c = abs(target), _turn_offset(target)
-    i = math.ceil(math.log(xa) / (2.0 * math.log(g)) - (1.0 + 0.5 * c))
-    while g ** (2 * i + c) >= xa:
-        i -= 1
-    while g ** (2 * i + 2 + c) < xa:
-        i += 1
-    return i
+    return _target_bracket(coil, target)[0]
 
 
 def travel_distance(coil: Coil, target: float) -> CoilHit:
@@ -166,10 +178,8 @@ def travel_distance(coil: Coil, target: float) -> CoilHit:
     offset c of ``bracket_index``, equal to the path length at the first
     trajectory time with position(t) = X.
     """
-    g = coil.gamma
-    i = bracket_index(coil, target)
-    delta = abs(target) + 2.0 * g ** (2 * i + 2 + _turn_offset(target)) / (g - 1.0)
-    return CoilHit(target=target, index=i, delta=delta)
+    i, _, hi = _target_bracket(coil, target)
+    return CoilHit(target=target, index=i, delta=abs(target) + 2.0 * hi / (coil.gamma - 1.0))
 
 
 def bracket_ratio(gamma: float, magnitude, offset):
@@ -184,8 +194,11 @@ def bracket_ratio(gamma: float, magnitude, offset):
     """
     i = np.ceil(np.log(magnitude) / (2.0 * math.log(gamma)) - (1.0 + 0.5 * offset))
     i = np.where(gamma ** (2.0 * i + offset) >= magnitude, i - 1.0, i)
-    i = np.where(gamma ** (2.0 * i + 2.0 + offset) < magnitude, i + 1.0, i)
-    return 1.0 + 2.0 * gamma ** (2.0 * i + 2.0 + offset) / ((gamma - 1.0) * magnitude)
+    hi = gamma ** (2.0 * i + 2.0 + offset)
+    up = hi < magnitude
+    if up.any():
+        hi = np.where(up, gamma ** (2.0 * (i + 1.0) + 2.0 + offset), hi)
+    return 1.0 + 2.0 * hi / ((gamma - 1.0) * magnitude)
 
 
 def worst_case_ratio(coil: Coil) -> float:
@@ -211,24 +224,6 @@ def optimal_minmax_coil() -> Tuple[float, float]:
     return gamma, report.residual_or_value
 
 
-def bracket_integral_pos(i: int, gamma: float, x: float) -> float:
-    """Integral of delta(s)/s over [gamma^(2i), x] for x inside bracket i:
-    (x - gamma^(2i)) + (2*gamma^(2i+2)/(gamma-1)) * (ln x - 2i ln gamma)."""
-    return (x - gamma ** (2 * i)) + (2.0 * gamma ** (2 * i + 2) / (gamma - 1.0)) * (
-        math.log(x) - 2 * i * math.log(gamma))
-
-
-def bracket_integral_neg(j: int, gamma: float, x: float) -> float:
-    """Integral of delta(s)/s over [x, -gamma^(2j-1)] for negative x inside
-    bracket j: (x + gamma^(2j-1)) - (2*gamma^(2j+1)/(gamma-1)) * (ln(-x) - (2j-1) ln gamma).
-
-    Note the integrand is delta(s)/s, not delta(s)/|s|, so the value is
-    negative; the averaging below subtracts it.
-    """
-    return (x + gamma ** (2 * j - 1)) - (2.0 * gamma ** (2 * j + 1) / (gamma - 1.0)) * (
-        math.log(-x) - (2 * j - 1) * math.log(gamma))
-
-
 def average_ratio(coil: Coil, x: float) -> float:
     """Normalized average (1/(2x)) * integral of delta(s)/|s| over [-x, x].
 
@@ -236,19 +231,23 @@ def average_ratio(coil: Coil, x: float) -> float:
     are geometric series and are summed in closed form
     (sum of gamma^(2p) for p <= i-1 equals gamma^(2i)/(gamma^2 - 1));
     only the two partial brackets need the logarithmic terms.  Log-periodic
-    in x with period gamma^2.
+    in x with period gamma^2.  The partial pieces integrate delta(s)/s: over
+    [gamma^(2i), x], (x - gamma^(2i)) + 2*gamma^(2i+2)/(gamma-1) * (ln x - 2i ln gamma);
+    over [-x, -gamma^(2j-1)], a negative value, subtracted below,
+    (-x + gamma^(2j-1)) - 2*gamma^(2j+1)/(gamma-1) * (ln x - (2j-1) ln gamma).
     """
     if x <= 0.0:
         raise ValueError("require x > 0")
     g = coil.gamma
-    lg = math.log(g)
-    i = bracket_index(coil, x)
-    j = bracket_index(coil, -x)
+    lg, lx = math.log(g), math.log(x)
+    r = lx / (2.0 * lg)
+    i, pi0, pi2 = _bracket(g, x, 0, r)
+    j, pj0, pj2 = _bracket(g, x, -1, r)
     series = 4.0 * lg / ((g - 1.0) ** 2 * (g + 1.0))
-    whole_pos = g ** (2 * i) + series * g ** (2 * i + 2)
-    whole_neg = g ** (2 * j - 1) + series * g ** (2 * j + 1)
-    partial_pos = bracket_integral_pos(i, g, x)
-    partial_neg = bracket_integral_neg(j, g, -x)
+    whole_pos = pi0 + series * pi2
+    whole_neg = pj0 + series * pj2
+    partial_pos = (x - pi0) + (2.0 * pi2 / (g - 1.0)) * (lx - 2 * i * lg)
+    partial_neg = (-x + pj0) - (2.0 * pj2 / (g - 1.0)) * (lx - (2 * j - 1) * lg)
     return (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
 
 

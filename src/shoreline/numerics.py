@@ -361,11 +361,18 @@ def uniform_block(seed: int, start: int, count: int, lo: float = 0.0, hi: float 
     in [lo, hi) from the top 53 bits of each mixed counter."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    pos = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(int(seed) & _MASK64) + (pos + np.uint64(1)) * np.uint64(_GOLDEN64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    return lo + (hi - lo) * u
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_GOLDEN64)
+    z += np.uint64(int(seed) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0 ** -53
+    u *= hi - lo
+    u += lo
+    return u

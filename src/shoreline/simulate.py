@@ -31,10 +31,11 @@ test nor the bisection: it reads the product-form distance
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
-holds exactly the values a serial run draws at those positions.  The spiral
-Monte Carlo driver runs over fixed, cache-sized blocks of positions, each
-drawn straight from the stream at its offset, and since every sample is
-solved on its own the results do not depend on the block size.
+holds exactly the values a serial run draws at those positions.  Both
+Monte Carlo drivers run over fixed, cache-sized blocks of positions, each
+drawn straight from the stream at its offset, and the worst-ratio scan over
+blocks of its grid; since every sample and grid point is solved on its own,
+the results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ _GRAZE_TOL = 1e-9
 # narrow.
 _REFINE_TOL = 1e-10
 
-# Samples solved together by `monte_carlo_mean_arclength`: the working set
-# of one block (a few arrays of this length) stays in a core's cache.
+# Samples solved together by `monte_carlo_mean_arclength` and
+# `mixed_strategy_sample`, and grid points by `scan_worst_ratio`: the working
+# set of one block (a few arrays of this length) stays in a core's cache.
 _BLOCK = 16384
 
 # Equal steps of s in one Monte Carlo call's inverse table.  At this size
@@ -368,8 +370,13 @@ def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats
     _check_gamma(gamma)
     if x <= 0.0:
         raise ValueError("require a positive target")
-    phases = uniform_block(cfg.seed, 0, cfg.samples, 0.0, 2.0)
-    return summarize(bracket_ratio(gamma, x, phases))
+    ratios = np.empty(cfg.samples)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, cfg.samples, _BLOCK):
+            count = min(_BLOCK, cfg.samples - start)
+            phases = uniform_block(cfg.seed, start, count, 0.0, 2.0)
+            ratios[start:start + count] = bracket_ratio(gamma, x, phases)
+    return summarize(ratios)
 
 
 def scan_worst_ratio(gamma: float, points: int) -> float:
@@ -380,10 +387,14 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
     _check_gamma(gamma)
     if points < 100:
         raise ValueError("require points >= 100")
-    grid = gamma ** np.linspace(-3.0, 3.0, points // 2)
+    exponents = np.linspace(-3.0, 3.0, points // 2)
     ks = np.array([-1.0, 0.0, 1.0])
-    probe_pos = gamma ** (2.0 * ks) * (1.0 + 1e-9)
-    probe_neg = gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9)
+    maxima = []
     # Positive targets bracket at offset 0, negative ones at offset -1.
-    return max(float(bracket_ratio(gamma, np.concatenate([grid, probe_pos]), 0).max()),
-               float(bracket_ratio(gamma, np.concatenate([grid, probe_neg]), -1).max()))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, exponents.size, _BLOCK):
+            grid = gamma ** exponents[start:start + _BLOCK]
+            maxima += [bracket_ratio(gamma, grid, 0).max(), bracket_ratio(gamma, grid, -1).max()]
+        maxima += [bracket_ratio(gamma, gamma ** (2.0 * ks) * (1.0 + 1e-9), 0).max(),
+                   bracket_ratio(gamma, gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9), -1).max()]
+    return float(np.max(maxima))

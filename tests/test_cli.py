@@ -238,6 +238,21 @@ def test_underflowed_turning_point_is_one_failure_line(gamma, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "2", "--X", "1e308"],       # turning points overflow
+    ["--gamma", "1e200", "--X", "1"],       # gamma^(2i+2+H) overflows
+    ["--gamma", "1.0000001", "--X", "5e-324"],  # (gamma - 1)*X underflows to 0
+])
+def test_mixed_overflow_is_one_failure_line(argv, capsys):
+    # the sampler's blocks run without numpy warnings; summarize classifies
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "mixed", *argv, "-n", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not caught and "Warning" not in err
+    assert err.startswith("numerical failure: simulate mixed (") and err.count("\n") == 1
+
+
 def test_parser_is_built_once_and_reused(capsys):
     # main shares one parser per process; successes, usage errors and
     # numerical failures in between leave nothing behind for the next call

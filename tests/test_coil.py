@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket_index,
-                            bracket_integral_neg, bracket_integral_pos,
                             mixed_expected_ratio, optimal_minmax_coil,
                             optimal_minmean_coil, optimal_mixed, path_length_to,
                             position, ratio_extrema, travel_distance, worst_case_ratio)
@@ -148,29 +147,108 @@ class TestWorstCaseRatio:
         assert worst_case_ratio(Coil(2.1)) > 9.0
 
 
+def _ring_integral(g: float, x0: float, x: float) -> float:
+    """Quadrature of delta(s)/|s| over x0 <= |s| <= x, for x0 a power of g
+    and x0 < x < g^2 * x0, split at g*x0, the one turning point inside."""
+    c = Coil(g)
+    splits = [x0, g * x0, x] if g * x0 < x else [x0, x]
+    return sum(integrate(lambda s: travel_distance(c, sign * s).delta / s, a, b, 1e-11)
+               for sign in (1.0, -1.0) for a, b in zip(splits, splits[1:]))
+
+
 class TestBracketIntegrals:
-    def test_positive_piece_against_quadrature(self):
-        u = iter(uniform_block(31, 0, 30).tolist())
+    # The partial-bracket integrals inside `average_ratio`: 2x*A(x) less
+    # 2x0*A(x0) is the integral of delta(s)/|s| over x0 <= |s| <= x.
+    def _check_against_quadrature(self, seed, offset):
+        u = iter(uniform_block(seed, 0, 30).tolist())
         for _ in range(10):
             g = 1.2 + 3.8 * next(u)
-            i = int(-2.0 + 5.0 * next(u))
-            x = g ** (2 * i) * (1.0 + next(u) * (g * g - 1.0))
-            c = 2.0 * g ** (2 * i + 2) / (g - 1.0)
-            got = bracket_integral_pos(i, g, x)
-            want = integrate(lambda s: 1.0 + c / s, g ** (2 * i), x, 1e-10)
-            assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+            k = 2 * int(-2.0 + 5.0 * next(u)) + offset
+            x0 = g ** k
+            x = x0 * (1.0 + next(u) * (g * g - 1.0))
+            c = Coil(g)
+            got = 2.0 * x * average_ratio(c, x) - 2.0 * x0 * average_ratio(c, x0)
+            want = _ring_integral(g, x0, x)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * x), (g, x0, x)
+
+    def test_positive_piece_against_quadrature(self):
+        # x0 = gamma^(2i) opens a positive bracket
+        self._check_against_quadrature(31, 0)
 
     def test_negative_piece_against_quadrature(self):
-        g, j = 2.0, 1
-        x = -6.0  # gamma^(2j-1) = 2 < 6 <= 8 = gamma^(2j+1)
-        c = 2.0 * g ** (2 * j + 1) / (g - 1.0)
-        got = bracket_integral_neg(j, g, x)
-        want = integrate(lambda s: -1.0 + c / s, x, -(g ** (2 * j - 1)), 1e-10)
-        assert got == pytest.approx(want, abs=1e-9)
+        # x0 = gamma^(2j-1) opens a negative bracket
+        self._check_against_quadrature(37, -1)
 
     def test_empty_intervals(self):
-        assert bracket_integral_pos(2, 1.9, 1.9 ** 4) == 0.0
-        assert bracket_integral_neg(1, 1.9, -(1.9 ** 1)) == 0.0
+        # at x = gamma^(2k) the positive partial bracket is whole and the
+        # average sits at its period minimum
+        for g in (1.2, 1.9, 2.0, 3.591121476669, 5.7, 8.0):
+            want = ratio_extrema(Coil(g)).min_value
+            for k in range(-3, 4):
+                assert average_ratio(Coil(g), g ** (2 * k)) == pytest.approx(want, rel=1e-12)
+
+
+def _parent_bracket_index(g: float, target: float) -> int:
+    # the bracket rule as written before it returned its powers
+    xa, c = abs(target), 0 if target > 0.0 else -1
+    i = math.ceil(math.log(xa) / (2.0 * math.log(g)) - (1.0 + 0.5 * c))
+    while g ** (2 * i + c) >= xa:
+        i -= 1
+    while g ** (2 * i + 2 + c) < xa:
+        i += 1
+    return i
+
+
+def _parent_average_ratio(g: float, x: float) -> float:
+    # two bracket_index calls and the two partial-bracket integral formulas
+    lg = math.log(g)
+    i = _parent_bracket_index(g, x)
+    j = _parent_bracket_index(g, -x)
+    series = 4.0 * lg / ((g - 1.0) ** 2 * (g + 1.0))
+    whole_pos = g ** (2 * i) + series * g ** (2 * i + 2)
+    whole_neg = g ** (2 * j - 1) + series * g ** (2 * j + 1)
+    partial_pos = (x - g ** (2 * i)) + (2.0 * g ** (2 * i + 2) / (g - 1.0)) * (
+        math.log(x) - 2 * i * math.log(g))
+    partial_neg = (-x + g ** (2 * j - 1)) - (2.0 * g ** (2 * j + 1) / (g - 1.0)) * (
+        math.log(x) - (2 * j - 1) * math.log(g))
+    return (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
+
+
+def _parent_travel_distance(g: float, target: float) -> CoilHit:
+    i = _parent_bracket_index(g, target)
+    c = 0 if target > 0.0 else -1
+    return CoilHit(target=target, index=i,
+                   delta=abs(target) + 2.0 * g ** (2 * i + 2 + c) / (g - 1.0))
+
+
+def _same_outcome(new, old) -> bool:
+    """new() and old() return equal values (or both NaN), or raise the same
+    overflow or numerical failure."""
+    def outcome(f):
+        try:
+            return f()
+        except (OverflowError, NumericalError) as exc:
+            return type(exc)
+    a, b = outcome(new), outcome(old)
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize("g", [1.0 + 1e-9, 1.5, 2.0, 1.0 / lambert_w0(math.exp(-1.0)), 8.0, 1e6])
+def test_closed_forms_match_the_separate_bracket_formulas_bit_for_bit(g):
+    # turning points +-gamma^k across the float range, the doubles beside
+    # them, and log-uniform magnitudes; near 1e300 some distances overflow
+    u = uniform_block(59, 0, 200).tolist()
+    xs = [10.0 ** (-300.0 + 600.0 * v) for v in u]
+    for t in np.linspace(-690.0, 690.0, 61).tolist():
+        p = g ** round(t / math.log(g))
+        xs += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    c = Coil(g)
+    for x in xs:
+        assert _same_outcome(lambda: average_ratio(c, x), lambda: _parent_average_ratio(g, x)), x
+        for t in (x, -x):
+            assert _same_outcome(lambda: travel_distance(c, t),
+                                 lambda: _parent_travel_distance(g, t)), t
+            assert _same_outcome(lambda: bracket_index(c, t), lambda: _parent_bracket_index(g, t)), t
 
 
 class TestAverageRatio:

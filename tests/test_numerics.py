@@ -199,6 +199,24 @@ class TestRandomStream:
               4593380528125082431, 16408922859458223821]
         assert list(uniform_block(1234567, 0, 5)) == [(z >> 11) * 2.0 ** -53 for z in zs]
 
+    def test_known_answer_past_the_seed_and_position_range(self):
+        # a seed >= 2^64 is masked to 64 bits, and positions near 2^63 mix
+        # like any other; a mapped block applies lo + (hi - lo) * u
+        seed, start = 2 ** 64 + 2 ** 40 + 12345, 2 ** 63 - 3
+        want = [_splitmix64(seed, p) for p in range(start, start + 6)]
+        assert uniform_block(seed, start, 6).tolist() == want
+        assert uniform_block(seed - 2 ** 64, start, 6).tolist() == want
+        assert uniform_block(seed, start, 6, -3.5, 1e3).tolist() == [
+            -3.5 + (1e3 + 3.5) * u for u in want]
+
+    def test_blocks_are_fresh_writable_arrays(self):
+        # simulate coil writes into its draws
+        a, b = uniform_block(5, 0, 8), uniform_block(5, 0, 8)
+        assert a is not b and not np.shares_memory(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        a[:] = 0.0
+        assert b.tolist() == uniform_block(5, 0, 8).tolist()
+
     def test_clt_mean(self):
         us = uniform_block(1, 0, 1_000_000)
         assert abs(us.mean() - 0.5) < 0.002  # 3 sigma = 3/(sqrt(12)*1e3)
@@ -208,3 +226,13 @@ class TestRandomStream:
         assert ((-2.0 <= vals) & (vals < 5.0)).all()
         # lo + (hi - lo) * u, the same two roundings as mapping a unit draw
         assert vals.tolist() == [-2.0 + 7.0 * u for u in uniform_block(4, 0, 1000).tolist()]
+
+
+def _splitmix64(seed: int, pos: int) -> float:
+    """Stream value at ``pos`` in pure Python: SplitMix64 of the counter,
+    top 53 bits as a double in [0, 1)."""
+    mask = 2 ** 64 - 1
+    z = (seed + (pos + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53

@@ -408,6 +408,34 @@ class TestMixedStrategySample:
         cfg = SimConfig(seed=23, samples=10_000)
         assert mixed_strategy_sample(2.5, 1.0, cfg) == mixed_strategy_sample(2.5, 1.0, cfg)
 
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocks_match_one_whole_array(self, n):
+        # the blocked sampler gives every field of one whole-array sample
+        for gamma, x, seed in ((2.0, 1.0, 5), (3.591121476669, 1e-150, 8)):
+            whole = summarize(bracket_ratio(gamma, x, uniform_block(seed, 0, n, 0.0, 2.0)))
+            assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == whole
+
+
+# `mixed_strategy_sample` at three points, as the whole-array sampler that the
+# blocked one replaced returned them: (gamma, X, seed, n) -> SampleStats
+MIXED_PINNED = {
+    (2.0, 1.0, 7, 40000): SampleStats(
+        mean=5.318027548698102, std_error=0.008500709256265481, n=40000,
+        min=3.0000129877301775, max=8.998547326340628),
+    (3.591121476669, 17.0, 3, 3 * _BLOCK + 5): SampleStats(
+        mean=4.589044624476075, std_error=0.011405420876276535, n=49157,
+        min=1.7719214296838781, max=10.95369646742225),
+    (1.05, 1e-200, 11, 100000): SampleStats(
+        mean=43.017109930523716, std_error=0.0037345063976886553, n=100000,
+        min=41.00003488800253, max=45.09998342164092),
+}
+
+
+@pytest.mark.parametrize("point", MIXED_PINNED)
+def test_mixed_strategy_sample_is_bit_identical(point):
+    gamma, x, seed, n = point
+    assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == MIXED_PINNED[point]
+
 
 class TestScanWorstRatio:
     def test_probes_reach_supremum(self):
@@ -452,6 +480,20 @@ class TestScanWorstRatio:
     def test_point_budget(self):
         with pytest.raises(ValueError):
             scan_worst_ratio(2.0, 50)
+
+    @pytest.mark.parametrize("points", [2 * _BLOCK - 2, 2 * _BLOCK, 2 * _BLOCK + 2,
+                                        4 * _BLOCK + 1])
+    def test_blocks_match_one_whole_grid(self, points):
+        # grids of _BLOCK - 1, _BLOCK, _BLOCK + 1 and 2 * _BLOCK points, each
+        # side scanned in one piece with its probes
+        for gamma in (1.3, 2.0, 5.7):
+            grid = gamma ** np.linspace(-3.0, 3.0, points // 2)
+            ks = np.array([-1.0, 0.0, 1.0])
+            pos = np.concatenate([grid, gamma ** (2.0 * ks) * (1.0 + 1e-9)])
+            neg = np.concatenate([grid, gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9)])
+            whole = max(float(bracket_ratio(gamma, pos, 0).max()),
+                        float(bracket_ratio(gamma, neg, -1).max()))
+            assert scan_worst_ratio(gamma, points) == whole
 
 
 class TestSampleStats:
