@@ -19,20 +19,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import checks, golden
 from .coil import (Coil, average_ratio, mixed_expected_ratio, optimal_minmax_coil,
                    optimal_minmean_coil, optimal_mixed, travel_distance)
-from .numerics import NumericalError, uniform_block
-from .simulate import (SimConfig, coil_marching_distance, mixed_strategy_sample,
-                       monte_carlo_mean_arclength, summarize)
+from .numerics import NumericalError
+from .simulate import (SimConfig, coil_walk_sample, mixed_strategy_sample,
+                       monte_carlo_mean_arclength)
 from .spiral_geometry import Spiral, second_contact
 from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
                                 minmax_objective, minmax_system_objective, minmean_objective,
@@ -70,10 +71,16 @@ def _fmt_csv(value: object) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def emit(record: OutputRecord, fmt: str) -> str:
-    bad = [k for k, v in record.results.items() if not math.isfinite(v)]
-    if bad:
+def _require_finite(names: Iterable[str], rows: Sequence[Iterable[float]]) -> None:
+    """The output rule of every command: each reported real is finite, else a
+    NumericalError that names each column (field) holding a non-finite one."""
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        bad = [k for k, column in zip(names, zip(*rows)) if not all(map(math.isfinite, column))]
         raise NumericalError(f"non-finite result: {', '.join(bad)}")
+
+
+def emit(record: OutputRecord, fmt: str) -> str:
+    _require_finite(record.results, [record.results.values()])
     if fmt == "json":
         return json.dumps(record.to_dict(), sort_keys=True)
     if fmt == "csv":
@@ -186,9 +193,7 @@ def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
             raise ValueError("--X must be a finite positive target")
         rec.parameters.update(gamma=args.gamma, X=x0)
         if args.target == "coil":
-            draws = uniform_block(args.seed, 0, args.n, -x0, x0)
-            draws[draws == 0.0] = x0  # measure-zero draw at the origin
-            stats = summarize(coil_marching_distance(args.gamma, draws, cfg) / np.abs(draws))
+            stats = coil_walk_sample(args.gamma, x0, cfg)
             reference = average_ratio(Coil(args.gamma), x0)
         else:
             stats = mixed_strategy_sample(args.gamma, x0, cfg)
@@ -240,6 +245,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> str:
         rows = [(float(t), math.exp(k * t) * math.cos(t), math.exp(k * t) * math.sin(t))
                 for t in grid]
         header = "theta,x,y"
+    _require_finite(header.split(","), rows)
     lines = [header]
     lines += [",".join(repr(float(v)) for v in row) for row in rows]
     payload = "\n".join(lines) + "\n"

@@ -1,12 +1,13 @@
 """The 1-D logarithmic coil: a zig-zag search of the line with turning
 points at +gamma^(2i) and -gamma^(2i-1).
 
-Covers the trajectory and its cumulative path length, the travel distance
-delta(X) to a signed target, the worst-case ratio sup delta(X)/|X| with its
-optimal expansion ratio, the normalized average of delta(x)/|x| over
-symmetric intervals (a log-periodic function of the interval radius, whose
-period extrema give two deterministic mean criteria), and the
-phase-randomized mixed strategy with its expected ratio 1 + (gamma+1)/ln(gamma).
+Covers the travel distance delta(X) to a signed target in closed form (the
+trajectory itself is walked in `simulate.coil_marching_distance`), the
+worst-case ratio sup delta(X)/|X| with its optimal expansion ratio, the
+normalized average of delta(x)/|x| over symmetric intervals (a log-periodic
+function of the interval radius, whose period extrema give two deterministic
+mean criteria), and the phase-randomized mixed strategy with its expected
+ratio 1 + (gamma+1)/ln(gamma).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "RatioExtrema",
     "MixedStrategy",
     "MeanOptima",
-    "position",
-    "path_length_to",
     "bracket_index",
     "travel_distance",
     "bracket_ratio",
@@ -92,13 +91,13 @@ class MixedStrategy:
     1 + (gamma + 1)/ln(gamma)."""
 
     gamma: float
-    expected_ratio: float
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
-        want = _mixed_ratio(self.gamma)
-        if abs(self.expected_ratio - want) > 1e-12 * max(1.0, abs(want)):
-            raise ValueError("expected_ratio inconsistent with gamma")
+
+    @property
+    def expected_ratio(self) -> float:
+        return _mixed_ratio(self.gamma)
 
 
 class MeanOptima(NamedTuple):
@@ -106,28 +105,6 @@ class MeanOptima(NamedTuple):
     mean_min: float
     gamma_for_max: float
     mean_max: float
-
-
-def position(coil: Coil, t: float) -> float:
-    """Position at time ``t``: x = (-gamma)^floor(t) * (1 - (gamma+1)*(t - floor(t))).
-
-    Continuous in t; local maxima at (gamma^(2i), t = 2i), local minima at
-    (-gamma^(2i-1), t = 2i-1).
-    """
-    g = coil.gamma
-    k = math.floor(t)
-    return (-g) ** k * (1.0 - (g + 1.0) * (t - k))
-
-
-def path_length_to(coil: Coil, t: float) -> float:
-    """Cumulative |dx| travelled up to time ``t`` (from t = -infinity).
-
-    Segment k has length gamma^k * (gamma + 1), so at integer t = k the total
-    is (gamma+1) * gamma^k / (gamma-1), interpolating linearly in between.
-    """
-    g = coil.gamma
-    k = math.floor(t)
-    return (g + 1.0) * g ** k * (1.0 / (g - 1.0) + (t - k))
 
 
 def _turn_offset(target: float) -> int:
@@ -138,17 +115,33 @@ def _turn_offset(target: float) -> int:
 def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
     """The bracket rule of `bracket_index`: (i, g^(2i+c), g^(2i+2+c)) for
     magnitude ``xa`` at offset ``c``, given r = ln(xa)/(2 ln g).  Each power
-    is computed once, and a nudge up reuses the upper one as the lower."""
+    is computed once, and a nudge up reuses the upper one as the lower.
+
+    Two turning points a nudge apart are distinct doubles unless they are
+    subnormal or their exponent is past 2^53, where it is rounded; then the
+    bracket cannot be resolved, and a nudge that does not move the power is a
+    NumericalError instead of one of up to ~1e12 more nudges."""
     i = math.ceil(r - (1.0 + 0.5 * c))
     lo = g ** (2 * i + c)
     while lo >= xa:
         i -= 1
-        lo = g ** (2 * i + c)
+        lo, last = g ** (2 * i + c), lo
+        if lo == last:
+            raise _unresolved(i)
     hi = g ** (2 * i + 2 + c)
     while hi < xa:
         i += 1
         lo, hi = hi, g ** (2 * i + 2 + c)
+        if hi == lo:
+            raise _unresolved(i)
     return i, lo, hi
+
+
+def _unresolved(i: int) -> NumericalError:
+    # The walk's rule for turning-point indices, else the powers underflowed.
+    if abs(2 * i) >= 2 ** 53:
+        return NumericalError("turning-point index beyond exact doubles")
+    return NumericalError("underflow: a target's turning points are subnormal")
 
 
 def _target_bracket(coil: Coil, target: float) -> Tuple[int, float, float]:
@@ -175,8 +168,8 @@ def travel_distance(coil: Coil, target: float) -> CoilHit:
     """Travel distance to reach a signed target, in closed form.
 
     delta = |X| + 2*gamma^(2i+2+c)/(gamma-1) with the bracket index i and
-    offset c of ``bracket_index``, equal to the path length at the first
-    trajectory time with position(t) = X.
+    offset c of ``bracket_index``: the path length of the coil up to its first
+    pass through X.
     """
     i, _, hi = _target_bracket(coil, target)
     return CoilHit(target=target, index=i, delta=abs(target) + 2.0 * hi / (coil.gamma - 1.0))
@@ -291,8 +284,7 @@ def _mixed_ratio(g: float) -> float:
 def mixed_expected_ratio(gamma: float) -> MixedStrategy:
     """Expected ratio E[delta(X)]/X of the phase-randomized coil family,
     1 + (gamma+1)/ln(gamma); independent of the (positive) target."""
-    _check_gamma(gamma)
-    return MixedStrategy(gamma=gamma, expected_ratio=_mixed_ratio(gamma))
+    return MixedStrategy(gamma)
 
 
 def optimal_mixed() -> MixedStrategy:

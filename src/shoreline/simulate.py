@@ -31,11 +31,11 @@ test nor the bisection: it reads the product-form distance
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
-holds exactly the values a serial run draws at those positions.  Both
-Monte Carlo drivers run over fixed, cache-sized blocks of positions, each
-drawn straight from the stream at its offset, and the worst-ratio scan over
-blocks of its grid; since every sample and grid point is solved on its own,
-the results do not depend on the block size.
+holds exactly the values a serial run draws at those positions.  The three
+Monte Carlo drivers (spiral mean, mixed coil, coil walk) share one loop,
+`_sample`, over fixed, cache-sized blocks of positions, and the worst-ratio
+scan runs over blocks of its grid; since every sample and grid point is
+solved on its own, the results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
     "spiral_first_contact",
     "monte_carlo_mean_arclength",
     "coil_marching_distance",
+    "coil_walk_sample",
     "mixed_strategy_sample",
     "scan_worst_ratio",
 ]
@@ -71,9 +72,9 @@ _GRAZE_TOL = 1e-9
 # narrow.
 _REFINE_TOL = 1e-10
 
-# Samples solved together by `monte_carlo_mean_arclength` and
-# `mixed_strategy_sample`, and grid points by `scan_worst_ratio`: the working
-# set of one block (a few arrays of this length) stays in a core's cache.
+# Samples solved together by each Monte Carlo driver (`_sample`), and grid
+# points by `scan_worst_ratio`: the working set of one block (a few arrays of
+# this length) stays in a core's cache.
 _BLOCK = 16384
 
 # Equal steps of s in one Monte Carlo call's inverse table.  At this size
@@ -288,6 +289,19 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     raise NumericalError("no contact found")
 
 
+def _sample(cfg: SimConfig, measure: Callable[[np.ndarray], np.ndarray]) -> SampleStats:
+    """`summarize` of ``measure(u)`` over the stream values u at positions
+    0 .. cfg.samples - 1, _BLOCK at a time; each block is a fresh array that
+    ``measure`` may overwrite.  A non-finite value is left to `summarize` to
+    classify, without numpy warnings."""
+    values = np.empty(cfg.samples)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, cfg.samples, _BLOCK):
+            count = min(_BLOCK, cfg.samples - start)
+            values[start:start + count] = measure(uniform_block(cfg.seed, start, count))
+    return summarize(values)
+
+
 def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     """Mean first-contact arclength over shoreline directions drawn
     uniformly from one full period [omega0, omega0 + 2*pi).
@@ -301,14 +315,14 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     """
     _check_kappa(kappa)
     table = _inverse_table(kappa)
-    hits = np.empty(cfg.samples)
-    for start in range(0, cfg.samples, _BLOCK):
-        count = min(_BLOCK, cfg.samples - start)
-        omegas = table.omega0 + math.tau * uniform_block(cfg.seed, start, count)
-        hits[start:start + count] = _first_contacts(table, omegas)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
-    with np.errstate(over="ignore"):
-        return summarize(factor * np.exp(kappa * hits))
+
+    def measure(u: np.ndarray) -> np.ndarray:
+        u *= math.tau  # the directions omega0 + tau*u, in place
+        u += table.omega0
+        return factor * np.exp(kappa * _first_contacts(table, u))
+
+    return _sample(cfg, measure)
 
 
 def coil_marching_distance(gamma: float, x: float | np.ndarray,
@@ -359,6 +373,19 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
     raise NumericalError("no segment reached the target")
 
 
+def coil_walk_sample(gamma: float, x0: float, cfg: SimConfig) -> SampleStats:
+    """Sampled travel ratio delta(X)/|X| of the coil walk over targets X drawn
+    uniformly from [-x0, x0); a draw at the origin, of measure zero, is moved
+    to x0."""
+    def measure(u: np.ndarray) -> np.ndarray:
+        u *= 2.0 * x0  # the targets u*(2*x0) - x0, in place
+        u -= x0
+        u[u == 0.0] = x0
+        return coil_marching_distance(gamma, u, cfg) / np.abs(u)
+
+    return _sample(cfg, measure)
+
+
 def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats:
     """Sampled travel ratio delta(x)/x of the phase-randomized coil.
 
@@ -370,13 +397,7 @@ def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats
     _check_gamma(gamma)
     if x <= 0.0:
         raise ValueError("require a positive target")
-    ratios = np.empty(cfg.samples)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, cfg.samples, _BLOCK):
-            count = min(_BLOCK, cfg.samples - start)
-            phases = uniform_block(cfg.seed, start, count, 0.0, 2.0)
-            ratios[start:start + count] = bracket_ratio(gamma, x, phases)
-    return summarize(ratios)
+    return _sample(cfg, lambda u: bracket_ratio(gamma, x, 2.0 * u))
 
 
 def scan_worst_ratio(gamma: float, points: int) -> float:

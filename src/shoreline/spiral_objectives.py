@@ -237,11 +237,8 @@ def minmean_system_objective(pair: AnglePair) -> float:
 
 def solve_minmean_system() -> AnglePair:
     """Solve the min-mean angle system by damped Newton iteration from
-    ``MINMEAN_GUESS``."""
-    def residuals(x: float, y: float) -> Tuple[float, float]:
-        if not (0.0 < x < 0.5 * math.pi and 0.0 < y < 0.5 * math.pi):
-            raise ValueError("outside angle domain")
-        return minmean_system_residuals(AnglePair(x, y))
-
-    a, b = solve_system2(residuals, (MINMEAN_GUESS.alpha, MINMEAN_GUESS.beta))
+    ``MINMEAN_GUESS``; a trial step outside the angle domain fails
+    `AnglePair`'s check, and `solve_system2` halves it."""
+    a, b = solve_system2(lambda x, y: minmean_system_residuals(AnglePair(x, y)),
+                         (MINMEAN_GUESS.alpha, MINMEAN_GUESS.beta))
     return AnglePair(a, b)

@@ -238,6 +238,42 @@ def test_underflowed_turning_point_is_one_failure_line(gamma, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, reason", [
+    # powers of gamma near |X| round to one subnormal for ~1e12 indices
+    (["--gamma", "1.000000000001", "--X", "5e-324"], "underflow:"),
+    (["--gamma", "1.000000000001", "--X", "3e-320"], "underflow:"),
+    (["--gamma", "1.000000000001", "--X=-5e-324"], "underflow:"),
+    # the bracket index is past 2^53, where exponents are rounded
+    (["--gamma", "1.00000000000001", "--X", "1e-300"], "beyond exact doubles"),
+])
+def test_unresolvable_bracket_fails_fast(argv, reason):
+    # a bracket nudge that leaves its turning point unchanged is a failure,
+    # not the first of up to ~1e12 more nudges
+    cp = run_cli("coil", "eval", *argv, timeout=10.0)
+    assert cp.returncode == 1
+    assert cp.stdout == "" and "Warning" not in cp.stderr
+    assert cp.stderr.startswith("numerical failure: coil eval (") and reason in cp.stderr
+    assert cp.stderr.count("\n") == 1
+
+
+def test_subnormal_target_with_exact_powers(capsys):
+    # at gamma = 2 the turning points 2^-1076 = 0 and 2^-1074 stay distinct
+    assert main(["coil", "eval", "--gamma", "2", "--X", "5e-324", "--format", "json"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["delta"] == 1.5e-323 and res["bracket_index"] == -538
+
+
+def test_plot_data_non_finite_is_one_failure_line(tmp_path: Path):
+    # average_ratio is inf - inf there; nothing is written
+    out = tmp_path / "i.csv"
+    cp = run_cli("plot-data", "I", "--gamma", "1.000000001", "--range", "4e299:5e299",
+                 "--points", "5", "--out", str(out), timeout=30.0)
+    assert cp.returncode == 1 and cp.stdout == "" and "Warning" not in cp.stderr
+    assert cp.stderr.startswith("numerical failure: plot-data I (")
+    assert cp.stderr.endswith("non-finite result: I\n") and cp.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--gamma", "2", "--X", "1e308"],       # turning points overflow
     ["--gamma", "1e200", "--X", "1"],       # gamma^(2i+2+H) overflows

@@ -5,54 +5,71 @@ import pytest
 
 from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket_index,
                             mixed_expected_ratio, optimal_minmax_coil,
-                            optimal_minmean_coil, optimal_mixed, path_length_to,
-                            position, ratio_extrema, travel_distance, worst_case_ratio)
+                            optimal_minmean_coil, optimal_mixed, ratio_extrema,
+                            travel_distance, worst_case_ratio)
 from shoreline.numerics import NumericalError, integrate, lambert_w0, uniform_block
+from shoreline.simulate import SimConfig, coil_marching_distance
+
+WALK_CFG = SimConfig(seed=0, samples=1)
 
 
 class TestPosition:
+    """The trajectory's positions, as the walk reads them: segment k sweeps
+    from (-gamma)^k to (-gamma)^(k+1), and x = 1 is the k = 0 turning point."""
+
     def test_start(self):
-        assert position(Coil(2.0), 0.0) == 1.0
+        assert coil_marching_distance(2.0, 1.0, WALK_CFG) == 3.0
 
     def test_turning_points(self):
-        c = Coil(2.0)
-        assert position(c, 2.0) == 4.0
-        assert position(c, 1.0) == -2.0
-        assert position(c, 3.0) == -8.0
+        # the walk reaches (-2)^k after the sweeps before it, 3 * 2^k, and a
+        # target just beyond it two segments later
+        for k in range(-2, 4):
+            turn = (-2.0) ** k
+            beyond = turn * (1.0 + 2.0 ** -40)
+            at, past = coil_marching_distance(2.0, np.array([turn, beyond]), WALK_CFG).tolist()
+            assert at == 3.0 * 2.0 ** k
+            assert past == pytest.approx(4.0 * 2.0 ** (k + 1) + abs(beyond), rel=1e-15)
 
     def test_mid_segment(self):
-        assert position(Coil(2.0), 0.5) == pytest.approx(-0.5)
+        # t = 1.75 on segment 1 (from -2 to 4) is x = 2.5, first reached there
+        assert coil_marching_distance(2.0, 2.5, WALK_CFG) == pytest.approx(10.5, rel=1e-15)
 
     def test_continuity_at_integers(self):
+        # approached from inside, a turning point's distance is its own
         u = iter(uniform_block(2, 0, 80).tolist())
         for _ in range(40):
             g = 1.1 + 6.9 * next(u)
-            c = Coil(g)
             k = int(-5.0 + 11.0 * next(u))
-            eps = 1e-9
-            left = position(c, k - eps)
-            right = position(c, k + eps)
-            scale = max(1.0, abs(position(c, float(k))))
-            assert abs(left - right) <= 1e-7 * scale
+            turn = (-g) ** k
+            inside, at = coil_marching_distance(g, np.array([turn * (1.0 - 1e-9), turn]),
+                                                WALK_CFG).tolist()
+            assert abs(inside - at) <= 1e-7 * max(1.0, at)
 
 
 class TestPathLength:
+    """The walk's distance is the path length of the coil up to its first pass
+    through the target."""
+
     def test_geometric_series_at_zero(self):
         # all sweeps below t = 0 sum to (gamma+1)/(gamma-1)
-        assert path_length_to(Coil(2.0), 0.0) == pytest.approx(3.0)
+        for g in (1.5, 2.0, 3.0):
+            assert coil_marching_distance(g, 1.0, WALK_CFG) == pytest.approx(
+                (g + 1.0) / (g - 1.0), rel=1e-15)
 
     def test_vanishes_far_back(self):
-        assert path_length_to(Coil(2.0), -200.0) == pytest.approx(0.0, abs=1e-55)
+        assert coil_marching_distance(2.0, 2.0 ** -200, WALK_CFG) == pytest.approx(0.0, abs=1e-55)
 
     def test_single_segment_increment(self):
-        c = Coil(2.0)
-        assert path_length_to(c, 2.0) - path_length_to(c, 1.0) == pytest.approx(6.0)
+        # segment 1 sweeps from -2 to 4
+        to_start, to_end = coil_marching_distance(2.0, np.array([-2.0, 4.0]), WALK_CFG).tolist()
+        assert to_end - to_start == 6.0
 
     def test_strictly_increasing(self):
-        c = Coil(1.7)
-        ts = np.linspace(-3.0, 4.0, 200)
-        vals = [path_length_to(c, float(t)) for t in ts]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+        # on each side the coil first passes targets in order of |X|
+        mags = 1.7 ** np.linspace(-3.0, 4.0, 200)
+        for side in (1.0, -1.0):
+            vals = coil_marching_distance(1.7, side * mags, WALK_CFG)
+            assert (np.diff(vals) > 0.0).all()
 
 
 class TestBracketIndex:
@@ -376,8 +393,10 @@ class TestMixedStrategy:
             mixed_expected_ratio(1.0)
 
     def test_type_invariant(self):
-        with pytest.raises(ValueError):
+        # the expected ratio is read off gamma, so no value can disagree with it
+        with pytest.raises(TypeError):
             MixedStrategy(gamma=2.0, expected_ratio=4.0)
+        assert MixedStrategy(2.0).expected_ratio == 1.0 + 3.0 / math.log(2.0)
 
 
 def test_coil_validation():

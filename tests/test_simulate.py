@@ -13,7 +13,7 @@ from shoreline.coil import (Coil, MixedStrategy, bracket_ratio, mixed_expected_r
 from shoreline.numerics import NumericalError, uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
                                 _bisect_contacts, _first_contacts, _inverse_table,
-                                coil_marching_distance, mixed_strategy_sample,
+                                coil_marching_distance, coil_walk_sample, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact, summarize)
 from shoreline.spiral_geometry import (Spiral, arclength, contact_distance, second_contact,
@@ -382,6 +382,17 @@ def test_simulate_coil_is_bit_identical(point, capsys):
     assert (res["mean"], res["std_error"], res["min"], res["max"]) == SIMULATE_COIL_PINNED[point]
 
 
+class TestCoilWalkSample:
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocks_match_one_whole_array(self, n):
+        # the blocked sampler gives every field of one walk over all the draws
+        for gamma, x0, seed in ((2.0, 1.7, 5), (1.05, 1e-200, 8)):
+            draws = uniform_block(seed, 0, n, -x0, x0)
+            draws[draws == 0.0] = x0
+            whole = summarize(coil_marching_distance(gamma, draws, CFG) / np.abs(draws))
+            assert coil_walk_sample(gamma, x0, SimConfig(seed=seed, samples=n)) == whole
+
+
 class TestMixedStrategySample:
     def test_matches_formula_gamma_two(self):
         stats = mixed_strategy_sample(2.0, 1.0, SimConfig(seed=7, samples=200_000))
@@ -435,6 +446,28 @@ MIXED_PINNED = {
 def test_mixed_strategy_sample_is_bit_identical(point):
     gamma, x, seed, n = point
     assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == MIXED_PINNED[point]
+
+
+# `monte_carlo_mean_arclength` at three points, as the driver that summarized
+# all its arclengths in one piece returned them: (kappa, seed, n) -> SampleStats
+SPIRAL_PINNED = {
+    (0.3732051316134667, 7, 40000): SampleStats(
+        mean=7.007838849763904, std_error=0.019197400664931405, n=40000,
+        min=2.8600131210196453, max=16.542725072330306),
+    (0.2124695594156479, 3, 3 * _BLOCK + 5): SampleStats(
+        mean=8.115475114483814, std_error=0.011804117598344445, n=49157,
+        min=4.811618720960639, max=13.81096742905272),
+    (5.0, 11, 100000): SampleStats(
+        mean=2955780.1145663415, std_error=35837.12436761622, n=100000,
+        min=1.0198039044537106, max=92523340.88523927),
+}
+
+
+@pytest.mark.parametrize("point", SPIRAL_PINNED)
+def test_monte_carlo_mean_arclength_is_bit_identical(point):
+    kappa, seed, n = point
+    got = monte_carlo_mean_arclength(kappa, SimConfig(seed=seed, samples=n))
+    assert got == SPIRAL_PINNED[point]
 
 
 class TestScanWorstRatio:
@@ -521,7 +554,8 @@ RAW_PARAMETER_CALLS = {
     "mixed_strategy_sample": (lambda g: mixed_strategy_sample(g, 1.0, SimConfig(samples=10)), 1.0),
     "scan_worst_ratio": (lambda g: scan_worst_ratio(g, 1000), 1.0),
     "mixed_expected_ratio": (mixed_expected_ratio, 1.0),
-    "MixedStrategy": (lambda g: MixedStrategy(gamma=g, expected_ratio=3.0), 1.0),
+    "MixedStrategy": (lambda g: MixedStrategy(gamma=g), 1.0),
+    "coil_walk_sample": (lambda g: coil_walk_sample(g, 3.0, SimConfig(samples=10)), 1.0),
 }
 
 
