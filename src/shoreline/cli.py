@@ -34,9 +34,9 @@ from .coil import (Coil, average_ratio, mixed_expected_ratio, optimal_minmax_coi
 from .numerics import NumericalError
 from .simulate import (SimConfig, coil_walk_sample, mixed_strategy_sample,
                        monte_carlo_mean_arclength)
-from .spiral_geometry import Spiral, second_contact
-from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
-                                minmax_objective, minmax_system_objective, minmean_objective,
+from .spiral_geometry import Spiral, contact_at, second_contact
+from .spiral_objectives import (_erroneous_at, _minmax_at, _minmean_at, minimize_minmax,
+                                minimize_minmean, minmax_system_objective, minmean_objective,
                                 minmean_system_objective, solve_minmax_system,
                                 solve_minmean_system)
 
@@ -109,14 +109,16 @@ def _cmd_spiral(args: argparse.Namespace) -> OutputRecord:
             raise ValueError("spiral eval requires --kappa")
         k = args.kappa
         rec.parameters["kappa"] = k
-        contact = second_contact(Spiral(k, R))
+        # One solve at R = 1: the objectives read it, the R contact shifts it.
+        unit = second_contact(Spiral(k))
+        contact = contact_at(Spiral(k, R), unit.theta1)
         rec.results = {
             "theta0": contact.theta0,
             "omega0": contact.omega0,
             "theta1": contact.theta1,
-            "minmax_objective": R * minmax_objective(k),
-            "minmean_objective": R * minmean_objective(k),
-            "erroneous_objective": R * erroneous_objective(k),
+            "minmax_objective": R * _minmax_at(k, unit),
+            "minmean_objective": R * _minmean_at(k, unit),
+            "erroneous_objective": R * _erroneous_at(k, unit),
         }
         return rec
 

@@ -20,6 +20,7 @@ __all__ = [
     "tangent_contact",
     "contact_distance",
     "second_contact",
+    "contact_at",
     "arclength",
 ]
 
@@ -91,7 +92,7 @@ def second_contact(spiral: Spiral) -> TangentContact:
     theta1 is the unique second solution of
     e^(kappa*theta) * cos(theta - omega0) = R with theta0 < theta < theta0 + 2*pi.
     It is solved at R = 1, where the residual `contact_distance` is of unit
-    scale, and shifted by ln(R)/kappa.  The root is
+    scale, and shifted to R by `contact_at`.  The root is
     bracketed on [omega0 + 3*pi/2, omega0 + 2*pi]: the residual is negative
     at the left end, where the cosine is zero to rounding, positive at the
     right end, and strictly increasing between (cos > 0 and sin < 0 there), so the bracket always
@@ -99,7 +100,6 @@ def second_contact(spiral: Spiral) -> TangentContact:
     root and is never solved numerically.
     """
     k, R = spiral.kappa, spiral.radius
-    theta0, omega0 = tangent_contact(spiral)
     _, unit_omega0 = tangent_contact(Spiral(k))
     lo = unit_omega0 + 1.5 * math.pi
     hi = unit_omega0 + math.tau
@@ -109,8 +109,17 @@ def second_contact(spiral: Spiral) -> TangentContact:
             f"kappa={k!r}, radius={R!r}")
     report = find_root(lambda th: contact_distance(k, unit_omega0, th),
                        Bracket(lo, hi), tol=1e-15)
+    return contact_at(spiral, report.root_or_argmin)
+
+
+def contact_at(spiral: Spiral, unit_theta1: float) -> TangentContact:
+    """The contact triple of ``spiral`` from ``unit_theta1``, the second
+    contact of the same kappa at R = 1: theta0 and omega0 in closed form at
+    R, and theta1 = unit_theta1 + ln(R)/kappa, since scaling by R turns the
+    spiral by ln(R)/kappa.  The order check of `TangentContact` runs at R."""
+    theta0, omega0 = tangent_contact(spiral)
     return TangentContact(theta0=theta0, omega0=omega0,
-                          theta1=report.root_or_argmin + math.log(R) / k)
+                          theta1=unit_theta1 + math.log(spiral.radius) / spiral.kappa)
 
 
 def arclength(kappa: float, Theta: float) -> float:

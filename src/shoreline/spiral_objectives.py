@@ -12,16 +12,24 @@ Each optimum can be found two independent ways: directly, by bracketed
 scalar minimization of the objective, and through a 2-D trigonometric
 system in the angles (alpha, beta) where tan(alpha) = kappa and
 sec(beta) = e^(kappa*theta1).  Both routes are exposed and must agree.
+
+No optimum depends on R, so each optimizer and angle-system solver takes no
+argument and is computed once per process (``functools.cache``): every later
+call returns the same value, which is immutable because all callers share it.
+Each objective is a private formula on the R = 1 contact triple (``_*_at``)
+behind its public function, so ``spiral eval`` solves one contact and reads
+all three objectives from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
 
 from .numerics import Bracket, SolveReport, minimize_scalar, solve_system2
-from .spiral_geometry import Spiral, arclength, second_contact
+from .spiral_geometry import Spiral, TangentContact, arclength, second_contact
 
 __all__ = [
     "AnglePair",
@@ -82,24 +90,34 @@ class Optimum:
             raise ValueError("objective value must be positive")
 
 
-def _contact_angles(kappa: float):
-    contact = second_contact(Spiral(kappa, 1.0))
-    return contact.theta0, contact.omega0, contact.theta1
-
-
 def _angles_for(kappa: float) -> Tuple[float, float]:
     """(alpha, beta) for a given kappa along the constraint curve:
     alpha = arctan(kappa), beta = theta0 + 2*pi - alpha - theta1."""
-    theta0, _, theta1 = _contact_angles(kappa)
+    contact = second_contact(Spiral(kappa))
     alpha = math.atan(kappa)
-    return alpha, theta0 + math.tau - alpha - theta1
+    return alpha, contact.theta0 + math.tau - alpha - contact.theta1
+
+
+def _minmax_at(kappa: float, contact: TangentContact) -> float:
+    return arclength(kappa, contact.theta1)
+
+
+def _erroneous_at(kappa: float, contact: TangentContact) -> float:
+    return math.exp(kappa * contact.theta1) / kappa
+
+
+def _minmean_at(kappa: float, contact: TangentContact) -> float:
+    u = math.exp(kappa * contact.theta0)
+    v = math.exp(kappa * contact.theta1)
+    return math.sqrt(1.0 + kappa * kappa) / (math.tau * kappa) * (
+        v / kappa + math.log(v + math.sqrt(v * v - 1.0))
+        - u / kappa + math.log(u + math.sqrt(u * u - 1.0)))
 
 
 def minmax_objective(kappa: float) -> float:
     """Worst-case search arclength sqrt(1 + kappa^2)/kappa * e^(kappa*theta1)
     at R = 1."""
-    _, _, theta1 = _contact_angles(kappa)
-    return arclength(kappa, theta1)
+    return _minmax_at(kappa, second_contact(Spiral(kappa)))
 
 
 def erroneous_objective(kappa: float) -> float:
@@ -107,8 +125,7 @@ def erroneous_objective(kappa: float) -> float:
     worst-case arclength that omits the sqrt(1 + kappa^2) slope factor.
     Kept so the mistaken published estimates (0.22325, 13.49) are
     reproducible; never use it as the real objective."""
-    _, _, theta1 = _contact_angles(kappa)
-    return math.exp(kappa * theta1) / kappa
+    return _erroneous_at(kappa, second_contact(Spiral(kappa)))
 
 
 def minmean_objective(kappa: float) -> float:
@@ -123,12 +140,7 @@ def minmean_objective(kappa: float) -> float:
     + ln(v + sqrt(v^2 - 1)) + ln(u + sqrt(u^2 - 1)); the test suite checks
     both forms against each other and against direct quadrature.
     """
-    theta0, _, theta1 = _contact_angles(kappa)
-    u = math.exp(kappa * theta0)
-    v = math.exp(kappa * theta1)
-    return math.sqrt(1.0 + kappa * kappa) / (math.tau * kappa) * (
-        v / kappa + math.log(v + math.sqrt(v * v - 1.0))
-        - u / kappa + math.log(u + math.sqrt(u * u - 1.0)))
+    return _minmean_at(kappa, second_contact(Spiral(kappa)))
 
 
 def _optimum_from(kappa_report: SolveReport) -> Optimum:
@@ -138,11 +150,13 @@ def _optimum_from(kappa_report: SolveReport) -> Optimum:
                    alpha=alpha, beta=beta, report=kappa_report)
 
 
+@functools.cache
 def minimize_minmax() -> Optimum:
     """Minimize the worst-case arclength over kappa in [0.05, 1.0]."""
     return _optimum_from(minimize_scalar(minmax_objective, MINMAX_BRACKET))
 
 
+@functools.cache
 def minimize_minmean() -> Optimum:
     """Minimize the mean arclength over kappa in [0.1, 1.0]."""
     return _optimum_from(minimize_scalar(minmean_objective, MINMEAN_BRACKET))
@@ -180,6 +194,7 @@ MINMAX_GUESS = AnglePair(0.2, 1.2)
 MINMEAN_GUESS = AnglePair(0.36, 1.1)
 
 
+@functools.cache
 def solve_minmax_system() -> AnglePair:
     """Solve the min-max angle system by damped Newton iteration from
     ``MINMAX_GUESS``."""
@@ -235,6 +250,7 @@ def minmean_system_objective(pair: AnglePair) -> float:
     return w / math.sin(a) / math.tau
 
 
+@functools.cache
 def solve_minmean_system() -> AnglePair:
     """Solve the min-mean angle system by damped Newton iteration from
     ``MINMEAN_GUESS``; a trial step outside the angle domain fails
