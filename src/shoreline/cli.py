@@ -35,8 +35,8 @@ from .numerics import NumericalError
 from .simulate import (SimConfig, coil_walk_sample, mixed_strategy_sample,
                        monte_carlo_mean_arclength)
 from .spiral_geometry import Spiral, contact_at, second_contact
-from .spiral_objectives import (_erroneous_at, _minmax_at, _minmean_at, minimize_minmax,
-                                minimize_minmean, minmax_system_objective, minmean_objective,
+from .spiral_objectives import (erroneous_at, minimize_minmax, minimize_minmean, minmax_at,
+                                minmax_system_objective, minmean_at, minmean_objective,
                                 minmean_system_objective, solve_minmax_system,
                                 solve_minmean_system)
 
@@ -116,9 +116,9 @@ def _cmd_spiral(args: argparse.Namespace) -> OutputRecord:
             "theta0": contact.theta0,
             "omega0": contact.omega0,
             "theta1": contact.theta1,
-            "minmax_objective": R * _minmax_at(k, unit),
-            "minmean_objective": R * _minmean_at(k, unit),
-            "erroneous_objective": R * _erroneous_at(k, unit),
+            "minmax_objective": R * minmax_at(k, unit),
+            "minmean_objective": R * minmean_at(k, unit),
+            "erroneous_objective": R * erroneous_at(k, unit),
         }
         return rec
 

@@ -7,14 +7,11 @@ worst-case ratio sup delta(X)/|X| with its optimal expansion ratio, the
 normalized average of delta(x)/|x| over symmetric intervals (a log-periodic
 function of the interval radius, whose period extrema give two deterministic
 mean criteria), and the phase-randomized mixed strategy with its expected
-ratio 1 + (gamma+1)/ln(gamma).  The three optimizers take no argument and are
-computed once per process (``functools.cache``); each returns an immutable
-value that every caller shares.
+ratio 1 + (gamma+1)/ln(gamma).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
@@ -207,7 +204,6 @@ def worst_case_ratio(coil: Coil) -> float:
     return (2.0 * g * g + g - 1.0) / (g - 1.0)
 
 
-@functools.cache
 def optimal_minmax_coil() -> Tuple[float, float]:
     """The expansion ratio minimizing the worst-case ratio: (2, 9).
 
@@ -269,7 +265,6 @@ def ratio_extrema(coil: Coil) -> RatioExtrema:
     return RatioExtrema(min_value=_ratio_min(g), max_value=_ratio_max(g))
 
 
-@functools.cache
 def optimal_minmean_coil() -> MeanOptima:
     """Expansion ratios minimizing each period extremum of the normalized
     average: the period-minimum criterion gives gamma = 5.7041372673... with
@@ -292,7 +287,6 @@ def mixed_expected_ratio(gamma: float) -> MixedStrategy:
     return MixedStrategy(gamma)
 
 
-@functools.cache
 def optimal_mixed() -> MixedStrategy:
     """The expansion ratio minimizing the mixed-strategy expected ratio:
     gamma = 1/W(1/e) = 3.591121476669..., where stationarity forces

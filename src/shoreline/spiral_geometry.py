@@ -99,14 +99,14 @@ def second_contact(spiral: Spiral) -> TangentContact:
     contains exactly one root.  The tangency at theta0 itself is a double
     root and is never solved numerically.
     """
-    k, R = spiral.kappa, spiral.radius
+    k = spiral.kappa
     _, unit_omega0 = tangent_contact(Spiral(k))
     lo = unit_omega0 + 1.5 * math.pi
     hi = unit_omega0 + math.tau
     if not contact_distance(k, unit_omega0, lo) < 0.0 < contact_distance(k, unit_omega0, hi):
         raise NumericalError(
-            "second-contact bracket sign conditions violated for "
-            f"kappa={k!r}, radius={R!r}")
+            "second-contact bracket sign conditions violated (solved at R = 1) for "
+            f"kappa={k!r}")
     report = find_root(lambda th: contact_distance(k, unit_omega0, th),
                        Bracket(lo, hi), tol=1e-15)
     return contact_at(spiral, report.root_or_argmin)

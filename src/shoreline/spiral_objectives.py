@@ -13,17 +13,13 @@ scalar minimization of the objective, and through a 2-D trigonometric
 system in the angles (alpha, beta) where tan(alpha) = kappa and
 sec(beta) = e^(kappa*theta1).  Both routes are exposed and must agree.
 
-No optimum depends on R, so each optimizer and angle-system solver takes no
-argument and is computed once per process (``functools.cache``): every later
-call returns the same value, which is immutable because all callers share it.
-Each objective is a private formula on the R = 1 contact triple (``_*_at``)
-behind its public function, so ``spiral eval`` solves one contact and reads
-all three objectives from it.
+Each objective is a formula on the R = 1 contact triple (``minmax_at``,
+``minmean_at``, ``erroneous_at``) behind its public function of kappa, so
+``spiral eval`` solves one contact and reads all three objectives from it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -34,6 +30,9 @@ from .spiral_geometry import Spiral, TangentContact, arclength, second_contact
 __all__ = [
     "AnglePair",
     "Optimum",
+    "minmax_at",
+    "erroneous_at",
+    "minmean_at",
     "minmax_objective",
     "erroneous_objective",
     "minmean_objective",
@@ -98,15 +97,19 @@ def _angles_for(kappa: float) -> Tuple[float, float]:
     return alpha, contact.theta0 + math.tau - alpha - contact.theta1
 
 
-def _minmax_at(kappa: float, contact: TangentContact) -> float:
+def minmax_at(kappa: float, contact: TangentContact) -> float:
+    """`minmax_objective` read from ``contact``, the R = 1 contact triple of
+    ``kappa``, so one solved contact serves all three objectives."""
     return arclength(kappa, contact.theta1)
 
 
-def _erroneous_at(kappa: float, contact: TangentContact) -> float:
+def erroneous_at(kappa: float, contact: TangentContact) -> float:
+    """`erroneous_objective` read from the R = 1 contact triple of ``kappa``."""
     return math.exp(kappa * contact.theta1) / kappa
 
 
-def _minmean_at(kappa: float, contact: TangentContact) -> float:
+def minmean_at(kappa: float, contact: TangentContact) -> float:
+    """`minmean_objective` read from the R = 1 contact triple of ``kappa``."""
     u = math.exp(kappa * contact.theta0)
     v = math.exp(kappa * contact.theta1)
     return math.sqrt(1.0 + kappa * kappa) / (math.tau * kappa) * (
@@ -117,7 +120,7 @@ def _minmean_at(kappa: float, contact: TangentContact) -> float:
 def minmax_objective(kappa: float) -> float:
     """Worst-case search arclength sqrt(1 + kappa^2)/kappa * e^(kappa*theta1)
     at R = 1."""
-    return _minmax_at(kappa, second_contact(Spiral(kappa)))
+    return minmax_at(kappa, second_contact(Spiral(kappa)))
 
 
 def erroneous_objective(kappa: float) -> float:
@@ -125,7 +128,7 @@ def erroneous_objective(kappa: float) -> float:
     worst-case arclength that omits the sqrt(1 + kappa^2) slope factor.
     Kept so the mistaken published estimates (0.22325, 13.49) are
     reproducible; never use it as the real objective."""
-    return _erroneous_at(kappa, second_contact(Spiral(kappa)))
+    return erroneous_at(kappa, second_contact(Spiral(kappa)))
 
 
 def minmean_objective(kappa: float) -> float:
@@ -140,7 +143,7 @@ def minmean_objective(kappa: float) -> float:
     + ln(v + sqrt(v^2 - 1)) + ln(u + sqrt(u^2 - 1)); the test suite checks
     both forms against each other and against direct quadrature.
     """
-    return _minmean_at(kappa, second_contact(Spiral(kappa)))
+    return minmean_at(kappa, second_contact(Spiral(kappa)))
 
 
 def _optimum_from(kappa_report: SolveReport) -> Optimum:
@@ -150,13 +153,11 @@ def _optimum_from(kappa_report: SolveReport) -> Optimum:
                    alpha=alpha, beta=beta, report=kappa_report)
 
 
-@functools.cache
 def minimize_minmax() -> Optimum:
     """Minimize the worst-case arclength over kappa in [0.05, 1.0]."""
     return _optimum_from(minimize_scalar(minmax_objective, MINMAX_BRACKET))
 
 
-@functools.cache
 def minimize_minmean() -> Optimum:
     """Minimize the mean arclength over kappa in [0.1, 1.0]."""
     return _optimum_from(minimize_scalar(minmean_objective, MINMEAN_BRACKET))
@@ -194,7 +195,6 @@ MINMAX_GUESS = AnglePair(0.2, 1.2)
 MINMEAN_GUESS = AnglePair(0.36, 1.1)
 
 
-@functools.cache
 def solve_minmax_system() -> AnglePair:
     """Solve the min-max angle system by damped Newton iteration from
     ``MINMAX_GUESS``."""
@@ -250,7 +250,6 @@ def minmean_system_objective(pair: AnglePair) -> float:
     return w / math.sin(a) / math.tau
 
 
-@functools.cache
 def solve_minmean_system() -> AnglePair:
     """Solve the min-mean angle system by damped Newton iteration from
     ``MINMEAN_GUESS``; a trial step outside the angle domain fails

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -412,25 +411,3 @@ def test_coil_hit_rejects_non_finite_distance(delta):
     # an overflowed travel distance is a numerical failure, not a usage error
     with pytest.raises(NumericalError, match="not finite"):
         CoilHit(target=1.0, index=0, delta=delta)
-
-
-@pytest.mark.parametrize("solver", [optimal_minmax_coil, optimal_minmean_coil, optimal_mixed])
-def test_optimizer_runs_once_per_process(solver):
-    # the optima take no argument, so every caller shares one solve and its value
-    first = solver()
-    hits = solver.cache_info().hits
-    assert solver() is first
-    assert solver.cache_info().hits == hits + 1
-
-
-def test_shared_optima_are_immutable():
-    gamma_ratio = optimal_minmax_coil()
-    for i in range(len(gamma_ratio)):
-        with pytest.raises(TypeError):
-            gamma_ratio[i] = 3.0
-    means = optimal_minmean_coil()
-    for name in means._fields:
-        with pytest.raises(AttributeError):
-            setattr(means, name, 3.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        optimal_mixed().gamma = 3.0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from shoreline.numerics import Bracket, integrate, minimize_scalar, uniform_block
 from shoreline.spiral_geometry import Spiral, arclength, second_contact
-from shoreline.spiral_objectives import (AnglePair, MINMAX_BRACKET, MINMEAN_BRACKET, Optimum,
+from shoreline.spiral_objectives import (AnglePair, MINMAX_BRACKET, MINMEAN_BRACKET,
                                          erroneous_objective, minimize_minmax,
                                          minimize_minmean, minmax_objective,
                                          minmax_system_objective, minmax_system_residuals,
@@ -239,18 +238,3 @@ def test_angle_pair_validation():
         AnglePair(0.0, 1.0)
     with pytest.raises(ValueError):
         AnglePair(0.5, math.pi / 2.0)
-
-
-@pytest.mark.parametrize("solver", [minimize_minmax, minimize_minmean,
-                                    solve_minmax_system, solve_minmean_system])
-def test_solver_runs_once_per_process(solver):
-    # no optimum depends on R, so every caller shares one solve and its value
-    first = solver()
-    hits = solver.cache_info().hits
-    assert solver() is first
-    assert solver.cache_info().hits == hits + 1
-    # and no caller can change the value the next one reads
-    for value in [first] + ([first.report] if isinstance(first, Optimum) else []):
-        for field in dataclasses.fields(value):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, field.name, getattr(value, field.name))
