@@ -18,12 +18,12 @@ import numpy as np
 from . import golden
 from .coil import (Coil, average_ratio, optimal_minmax_coil, optimal_minmean_coil,
                    optimal_mixed, ratio_extrema, travel_distance)
-from .numerics import Bracket, minimize_scalar, uniform_block
+from .numerics import uniform_block
 from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, _inverse_table,
                        coil_marching_distance, mixed_strategy_sample, monte_carlo_mean_arclength,
                        scan_worst_ratio, spiral_first_contact)
 from .spiral_geometry import Spiral, contact_distance, second_contact
-from .spiral_objectives import (erroneous_objective, minimize_minmax, minimize_minmean,
+from .spiral_objectives import (minimize_erroneous, minimize_minmax, minimize_minmean,
                                 minmax_objective, minmax_system_objective,
                                 minmax_system_residuals, solve_minmax_system,
                                 solve_minmean_system)
@@ -46,6 +46,7 @@ def _check_minmax_spiral() -> Tuple[bool, str]:
     elapsed = time.perf_counter() - t0
     conds = [
         abs(opt.kappa - golden.MINMAX_KAPPA) <= 1e-8,
+        abs(opt.kappa - golden.MINMAX_KAPPA_REF) <= 1e-12,
         abs(opt.objective_value - golden.MINMAX_OBJECTIVE) <= 1e-7,
         abs(math.exp(opt.kappa) - golden.MINMAX_EXP_KAPPA) <= 1e-8,
         elapsed < 1.0,
@@ -63,8 +64,9 @@ def _check_minmax_system() -> Tuple[bool, str]:
     conds = [
         abs(r1) < 1e-12,
         abs(r2) < 1e-12,
-        abs(math.tan(pair.alpha) - opt.kappa) < 1e-8,
-        abs(sys_obj - opt.objective_value) <= 1e-7,
+        abs(math.tan(pair.alpha) - opt.kappa) < 1e-12,
+        abs(math.tan(pair.alpha) - golden.MINMAX_KAPPA_REF) <= 1e-12,
+        abs(sys_obj - opt.objective_value) <= 1e-12 * opt.objective_value,
     ]
     detail = (f"residuals=({r1:.2e}, {r2:.2e}) tan(alpha)={math.tan(pair.alpha):.10f} "
               f"csc*sec={sys_obj:.10f}")
@@ -76,9 +78,11 @@ def _check_minmean_spiral() -> Tuple[bool, str]:
     pair = solve_minmean_system()
     conds = [
         abs(opt.kappa - golden.MINMEAN_KAPPA) <= 1e-8,
+        abs(opt.kappa - golden.MINMEAN_KAPPA_REF) <= 1e-12,
         abs(opt.objective_value - golden.MINMEAN_OBJECTIVE) <= 1e-7,
         abs(math.exp(opt.kappa) - golden.MINMEAN_EXP_KAPPA) <= 1e-8,
-        abs(math.tan(pair.alpha) - opt.kappa) <= 1e-8,
+        abs(math.tan(pair.alpha) - opt.kappa) <= 1e-12,
+        abs(math.tan(pair.alpha) - golden.MINMEAN_KAPPA_REF) <= 1e-12,
     ]
     detail = (f"kappa={opt.kappa:.10f} objective={opt.objective_value:.10f} "
               f"exp(kappa)={math.exp(opt.kappa):.10f} system tan(alpha)="
@@ -87,9 +91,8 @@ def _check_minmean_spiral() -> Tuple[bool, str]:
 
 
 def _check_erratum() -> Tuple[bool, str]:
-    report = minimize_scalar(erroneous_objective, Bracket(0.05, 1.0))
-    k = report.root_or_argmin
-    value = report.residual_or_value
+    opt = minimize_erroneous()
+    k, value = opt.kappa, opt.objective_value
     true_arc = minmax_objective(k)
     # 0.22325 to five significant digits; 13.49 to within one unit of its
     # last printed digit (the published value is the minimum of the

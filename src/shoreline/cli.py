@@ -141,7 +141,10 @@ def _cmd_spiral(args: argparse.Namespace) -> OutputRecord:
         "route_gap_kappa": abs(math.tan(pair.alpha) - opt.kappa),
         "route_gap_objective": R * abs(system_obj - opt.objective_value),
     }
+    # the find_root report of the objective's log-derivative; its residual
+    # is the derivative at the returned kappa
     rec.diagnostics = {"iterations": opt.report.iterations,
+                       "residual": opt.report.residual_or_value,
                        "converged": opt.report.converged}
     return rec
 

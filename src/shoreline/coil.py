@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
-from .numerics import Bracket, NumericalError, lambert_w0, minimize_scalar
+from .numerics import Bracket, NumericalError, SolveReport, lambert_w0, minimize_scalar
 
 __all__ = [
     "Coil",
@@ -204,13 +204,22 @@ def worst_case_ratio(coil: Coil) -> float:
     return (2.0 * g * g + g - 1.0) / (g - 1.0)
 
 
+def _minimize(f: Callable[[float], float], bracket: Bracket) -> SolveReport:
+    """`minimize_scalar`, with an unconverged report (no interior minimum
+    found) raised as a NumericalError."""
+    report = minimize_scalar(f, bracket)
+    if not report.converged:
+        raise NumericalError(f"no interior minimum on [{bracket.lo}, {bracket.hi}]")
+    return report
+
+
 def optimal_minmax_coil() -> Tuple[float, float]:
     """The expansion ratio minimizing the worst-case ratio: (2, 9).
 
     Found by bracketed minimization on [1.2, 5] and checked against the
     analytic critical point gamma = 2 of (2g^2 + g - 1)/(g - 1).
     """
-    report = minimize_scalar(lambda g: worst_case_ratio(Coil(g)), Bracket(1.2, 5.0))
+    report = _minimize(lambda g: worst_case_ratio(Coil(g)), Bracket(1.2, 5.0))
     gamma = report.root_or_argmin
     if abs(gamma - 2.0) > 1e-9:
         raise AssertionError(f"minimizer {gamma!r} disagrees with analytic critical point 2")
@@ -271,8 +280,8 @@ def optimal_minmean_coil() -> MeanOptima:
     mean 4.0089813375..., the period-maximum criterion gamma = 3.2232549401...
     with mean 4.8131558458....  Both are returned; neither dominates the
     other a priori."""
-    rmin = minimize_scalar(_ratio_min, Bracket(1.5, 12.0))
-    rmax = minimize_scalar(_ratio_max, Bracket(1.5, 12.0))
+    rmin = _minimize(_ratio_min, Bracket(1.5, 12.0))
+    rmax = _minimize(_ratio_max, Bracket(1.5, 12.0))
     return MeanOptima(gamma_for_min=rmin.root_or_argmin, mean_min=rmin.residual_or_value,
                       gamma_for_max=rmax.root_or_argmin, mean_max=rmax.residual_or_value)
 
@@ -296,7 +305,7 @@ def optimal_mixed() -> MixedStrategy:
     ``mixed_expected_ratio`` on [1.5, 10].
     """
     gamma = 1.0 / lambert_w0(math.exp(-1.0))
-    report = minimize_scalar(_mixed_ratio, Bracket(1.5, 10.0))
+    report = _minimize(_mixed_ratio, Bracket(1.5, 10.0))
     if abs(report.root_or_argmin - gamma) > 1e-9:
         raise AssertionError(
             f"minimizer {report.root_or_argmin!r} disagrees with 1/W(1/e) = {gamma!r}")

@@ -153,7 +153,10 @@ def minimize_scalar(f: Callable[[float], float], bracket: Bracket) -> SolveRepor
     values near the minimum agree to roundoff, so comparisons stop helping);
     a finishing pass then bisects a central difference of ``f`` on the final
     interval to a width of 1e-10, which recovers nearly full precision in the
-    argmin for smooth objectives.
+    argmin for smooth objectives.  The report is ``converged`` only when that
+    central difference changes sign across the final interval; a minimum
+    against an endpoint, or an objective flat to roundoff there, returns the
+    golden-section midpoint with ``converged=False``.
     """
     lo0, hi0 = bracket.lo, bracket.hi
     lo, hi, iterations = _golden_section(f, lo0, hi0, 4e-5 * max(1.0, abs(lo0), abs(hi0)))
@@ -165,8 +168,8 @@ def minimize_scalar(f: Callable[[float], float], bracket: Bracket) -> SolveRepor
     def slope(t: float) -> float:
         return f(t + h) - f(t - h)
 
-    ga, gb = slope(a), slope(b)
-    if ga < 0.0 < gb:
+    converged = slope(a) < 0.0 < slope(b)
+    if converged:
         while b - a > _ARGMIN_TOL:
             iterations += 1
             m = 0.5 * (a + b)
@@ -177,9 +180,7 @@ def minimize_scalar(f: Callable[[float], float], bracket: Bracket) -> SolveRepor
             else:
                 a = m
         x = 0.5 * (a + b)
-    # else: the minimum sits against an endpoint (or the objective is flat
-    # to roundoff); the golden-section midpoint is already best.
-    return SolveReport(x, _check_finite(f(x)), iterations, True)
+    return SolveReport(x, _check_finite(f(x)), iterations, converged)
 
 
 def solve_system2(F: Callable[[float, float], Tuple[float, float]],

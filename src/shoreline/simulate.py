@@ -377,9 +377,16 @@ def coil_walk_sample(gamma: float, x0: float, cfg: SimConfig) -> SampleStats:
     """Sampled travel ratio delta(X)/|X| of the coil walk over targets X drawn
     uniformly from [-x0, x0); a draw at the origin, of measure zero, is moved
     to x0."""
+    width = 2.0 * x0
+
     def measure(u: np.ndarray) -> np.ndarray:
-        u *= 2.0 * x0  # the targets u*(2*x0) - x0, in place
-        u -= x0
+        if math.isfinite(width):
+            u *= width  # the targets u*(2*x0) - x0, in place
+            u -= x0
+        else:  # 2*x0 overflows: the same targets as x0*(2u - 1)
+            u *= 2.0
+            u -= 1.0
+            u *= x0
         u[u == 0.0] = x0
         return coil_marching_distance(gamma, u, cfg) / np.abs(u)
 

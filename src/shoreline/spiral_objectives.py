@@ -8,10 +8,23 @@ R = 1 (lengths simply scale by R, kappa does not change):
 * min-mean: arclength to first contact averaged over a uniformly random
   shoreline direction.
 
-Each optimum can be found two independent ways: directly, by bracketed
-scalar minimization of the objective, and through a 2-D trigonometric
-system in the angles (alpha, beta) where tan(alpha) = kappa and
-sec(beta) = e^(kappa*theta1).  Both routes are exposed and must agree.
+Each optimum can be found two independent ways: directly, as the root in
+kappa of the objective's analytic log-derivative, and through a 2-D
+trigonometric system in the angles (alpha, beta) where tan(alpha) = kappa
+and sec(beta) = e^(kappa*theta1).  Both routes are exposed and must agree.
+
+The direct route differentiates the contact equation
+kappa*theta + ln cos(theta - omega0(kappa)) = 0 implicitly at R = 1, where
+omega0 = ln(1 + kappa^2)/(2*kappa) - arctan(kappa) and so
+omega0' = -theta0/kappa.  With t = tan(theta1 - omega0) < 0,
+
+    theta1' = -(theta1 - t*theta0/kappa) / (kappa - t),
+    theta1 + kappa*theta1' = t*(theta0 - theta1) / (kappa - t) > 0,
+
+and the second form, a product of same-signed factors, is what the three
+log-derivatives read.  Each derivative evaluation costs one `second_contact`, and `find_root`
+pins its sign change to the last bits of kappa, where comparing objective
+values would stop at about sqrt(machine epsilon).
 
 Each objective is a formula on the R = 1 contact triple (``minmax_at``,
 ``minmean_at``, ``erroneous_at``) behind its public function of kappa, so
@@ -24,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .numerics import Bracket, SolveReport, minimize_scalar, solve_system2
+from .numerics import Bracket, SolveReport, find_root, solve_system2
 from .spiral_geometry import Spiral, TangentContact, arclength, second_contact
 
 __all__ = [
@@ -38,6 +51,7 @@ __all__ = [
     "minmean_objective",
     "minimize_minmax",
     "minimize_minmean",
+    "minimize_erroneous",
     "minmax_system_residuals",
     "minmax_system_objective",
     "solve_minmax_system",
@@ -53,7 +67,7 @@ __all__ = [
 
 # Search brackets: both contain the optima with wide margin and stay clear of
 # the kappa -> 0 divergence.  Unimodality on them is checked by a scan in the
-# test suite rather than assumed.
+# test suite rather than assumed, so each log-derivative changes sign once.
 MINMAX_BRACKET = Bracket(0.05, 1.0)
 MINMEAN_BRACKET = Bracket(0.1, 1.0)
 
@@ -74,7 +88,8 @@ class AnglePair:
 @dataclass(frozen=True)
 class Optimum:
     """A spiral optimum: kappa, the objective value, the equivalent angle
-    pair, and the scalar-minimizer report."""
+    pair, and the `find_root` report of the objective's log-derivative (its
+    ``residual_or_value`` is the derivative at the root)."""
 
     kappa: float
     objective_value: float
@@ -87,14 +102,6 @@ class Optimum:
             raise ValueError("kappa and alpha inconsistent: kappa != tan(alpha)")
         if not self.objective_value > 0.0:
             raise ValueError("objective value must be positive")
-
-
-def _angles_for(kappa: float) -> Tuple[float, float]:
-    """(alpha, beta) for a given kappa along the constraint curve:
-    alpha = arctan(kappa), beta = theta0 + 2*pi - alpha - theta1."""
-    contact = second_contact(Spiral(kappa))
-    alpha = math.atan(kappa)
-    return alpha, contact.theta0 + math.tau - alpha - contact.theta1
 
 
 def minmax_at(kappa: float, contact: TangentContact) -> float:
@@ -146,21 +153,67 @@ def minmean_objective(kappa: float) -> float:
     return minmean_at(kappa, second_contact(Spiral(kappa)))
 
 
-def _optimum_from(kappa_report: SolveReport) -> Optimum:
-    kappa = kappa_report.root_or_argmin
-    alpha, beta = _angles_for(kappa)
-    return Optimum(kappa=kappa, objective_value=kappa_report.residual_or_value,
-                   alpha=alpha, beta=beta, report=kappa_report)
+def _exponent_rate(kappa: float, contact: TangentContact) -> float:
+    """d(kappa*theta1)/d(kappa) = theta1 + kappa*theta1' of the R = 1 contact
+    triple, in the cancellation-free form of the module docstring."""
+    t = math.tan(contact.theta1 - contact.omega0)
+    return t * (contact.theta0 - contact.theta1) / (kappa - t)
+
+
+def _erroneous_slope(kappa: float, contact: TangentContact) -> float:
+    """d ln(erroneous_objective)/d(kappa) = theta1 + kappa*theta1' - 1/kappa."""
+    return _exponent_rate(kappa, contact) - 1.0 / kappa
+
+
+def _minmax_slope(kappa: float, contact: TangentContact) -> float:
+    """d ln(minmax_objective)/d(kappa): the erroneous objective's plus
+    kappa/(1 + kappa^2), the log-derivative of the slope factor
+    sqrt(1 + kappa^2)."""
+    return kappa / (1.0 + kappa * kappa) + _erroneous_slope(kappa, contact)
+
+
+def _minmean_slope(kappa: float, contact: TangentContact) -> float:
+    """d ln(minmean_objective)/d(kappa) = kappa/(1 + kappa^2) - 1/kappa + W'/W,
+    with W = v/kappa + acosh(v) - u/kappa + acosh(u) the bracket of
+    `minmean_at`.  At R = 1, u = e^(kappa*theta0) = sqrt(1 + kappa^2)
+    exactly, so the u terms of W' reduce to u/kappa^2, and
+    v' = v*(theta1 + kappa*theta1')."""
+    u = math.sqrt(1.0 + kappa * kappa)
+    v = math.exp(kappa * contact.theta1)
+    dv = v * _exponent_rate(kappa, contact)
+    w = v / kappa + math.acosh(v) - u / kappa + math.acosh(u)
+    dw = dv * (1.0 / kappa + 1.0 / math.sqrt(v * v - 1.0)) + (u - v) / (kappa * kappa)
+    return kappa / (1.0 + kappa * kappa) - 1.0 / kappa + dw / w
+
+
+def _optimum(objective_at, slope_at, bracket: Bracket) -> Optimum:
+    """The stationary point of an objective on ``bracket``: `find_root` on
+    ``slope_at``, its log-derivative read from one contact per evaluation.
+    The objective value and the angle pair, alpha = arctan(kappa) and
+    beta = theta0 + 2*pi - alpha - theta1, come from one contact solved at
+    the root."""
+    report = find_root(lambda k: slope_at(k, second_contact(Spiral(k))), bracket, tol=1e-15)
+    kappa = report.root_or_argmin
+    contact = second_contact(Spiral(kappa))
+    alpha = math.atan(kappa)
+    return Optimum(kappa=kappa, objective_value=objective_at(kappa, contact), alpha=alpha,
+                   beta=contact.theta0 + math.tau - alpha - contact.theta1, report=report)
 
 
 def minimize_minmax() -> Optimum:
     """Minimize the worst-case arclength over kappa in [0.05, 1.0]."""
-    return _optimum_from(minimize_scalar(minmax_objective, MINMAX_BRACKET))
+    return _optimum(minmax_at, _minmax_slope, MINMAX_BRACKET)
 
 
 def minimize_minmean() -> Optimum:
     """Minimize the mean arclength over kappa in [0.1, 1.0]."""
-    return _optimum_from(minimize_scalar(minmean_objective, MINMEAN_BRACKET))
+    return _optimum(minmean_at, _minmean_slope, MINMEAN_BRACKET)
+
+
+def minimize_erroneous() -> Optimum:
+    """Minimize the erroneous objective over kappa in [0.05, 1.0]: the
+    historical erratum's argmin 0.22325... and minimum 13.495...."""
+    return _optimum(erroneous_at, _erroneous_slope, MINMAX_BRACKET)
 
 
 def minmax_system_residuals(pair: AnglePair) -> Tuple[float, float]:

@@ -24,11 +24,9 @@ class TestSpiralCommands:
     def test_minmax_text(self):
         cp = run_cli("spiral", "minmax")
         assert cp.returncode == 0, cp.stderr
-        # The angle-system route prints the published tenth digit; the
-        # scalar route misses it by ~2e-10 (ROADMAP open item 2), so its
-        # line is checked to the nine digits it gets right.
+        # both routes print the published tenth digit
         assert "\nsystem_kappa = 0.2124695594\n" in cp.stdout
-        assert "\nkappa = 0.212469559" in cp.stdout
+        assert "\nkappa = 0.2124695594\n" in cp.stdout
         assert "objective = 13.81113518" in cp.stdout
 
     def test_minmean_json(self):
@@ -38,7 +36,7 @@ class TestSpiralCommands:
         assert rec["command"] == "spiral minmean"
         assert rec["results"]["kappa"] == pytest.approx(0.3732051316, abs=1e-8)
         assert rec["results"]["objective"] == pytest.approx(7.0321857865, abs=1e-7)
-        assert rec["results"]["route_gap_kappa"] < 1e-8
+        assert rec["results"]["route_gap_kappa"] < 1e-12
 
     def test_eval_with_radius_scaling(self):
         cp1 = json.loads(run_cli("spiral", "eval", "--kappa", "0.5",
@@ -218,6 +216,37 @@ def test_domain_edge_is_finite(argv, capsys):
     assert log_eq(th1 - step) < 0.0 <= log_eq(th1 + step)
     assert res["minmax_objective"] == pytest.approx(
         R * math.sqrt(1.0 + k * k) / k * math.exp(k * (th1 - math.log(R) / k)), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, kappa", [("minmax", golden.MINMAX_KAPPA_REF),
+                                         ("minmean", golden.MINMEAN_KAPPA_REF)])
+def test_optimum_diagnostics(mode, kappa, capsys):
+    # the direct route reports the find_root solve of the objective's
+    # log-derivative: its iterations, its value at the root and the flag;
+    # diagnostics stay out of the csv and json results
+    assert main(["spiral", mode, "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    diag = rec["diagnostics"]
+    assert set(diag) == {"iterations", "residual", "converged"}
+    assert diag["converged"] is True and 0 < diag["iterations"] <= 200
+    assert abs(diag["residual"]) <= 1e-13
+    assert abs(rec["results"]["kappa"] - kappa) <= 1e-12
+    assert not set(diag) & set(rec["results"])
+    assert main(["spiral", mode, "--format", "csv"]) == 0
+    assert "residual" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x", ["8.9e307", "1e308", "1.7976931348623157e308"])
+def test_simulate_coil_huge_target_is_walk_overflow(x, capsys):
+    # 2*X overflows from 8.99e307 on; the draws are then X*(2u - 1), so the
+    # run fails as the walk's own overflow, not as a non-finite target
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "coil", "--gamma", "2", "--X", x, "-n", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not caught and err.count("\n") == 1
+    assert err.startswith("numerical failure: simulate coil (")
+    assert "overflow: target beyond representable sweeps" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from shoreline import coil, golden
 from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket_index,
                             mixed_expected_ratio, optimal_minmax_coil,
                             optimal_minmean_coil, optimal_mixed, ratio_extrema,
                             travel_distance, worst_case_ratio)
-from shoreline.numerics import NumericalError, integrate, lambert_w0, uniform_block
+from shoreline.numerics import Bracket, NumericalError, integrate, lambert_w0, uniform_block
 from shoreline.simulate import SimConfig, coil_marching_distance
 
 WALK_CFG = SimConfig(seed=0, samples=1)
@@ -355,6 +356,14 @@ class TestOptimalMinmeanCoil:
         assert opt.gamma_for_max == pytest.approx(3.2232549401, abs=1e-8)
         assert opt.mean_max == pytest.approx(4.8131558458, abs=1e-8)
 
+    def test_mpmath_references(self):
+        # the golden-section route stays within 1e-9 of the 17-digit
+        # references (7.0e-10 and 2.8e-10 off), as does the min-max coil
+        opt = optimal_minmean_coil()
+        assert abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN_REF) <= 1e-9
+        assert abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX_REF) <= 1e-9
+        assert abs(optimal_minmax_coil()[0] - golden.COIL_MINMAX_GAMMA_REF) <= 1e-9
+
     def test_both_beat_worst_case_guarantee(self):
         opt = optimal_minmean_coil()
         assert opt.mean_min < 9.0
@@ -397,6 +406,14 @@ class TestMixedStrategy:
         with pytest.raises(TypeError):
             MixedStrategy(gamma=2.0, expected_ratio=4.0)
         assert MixedStrategy(2.0).expected_ratio == 1.0 + 3.0 / math.log(2.0)
+
+
+def test_coil_optimizers_refuse_an_unconverged_minimum():
+    # the three coil optimizers go through _minimize, which raises where
+    # minimize_scalar finds no interior minimum
+    with pytest.raises(NumericalError, match="no interior minimum"):
+        coil._minimize(lambda g: g, Bracket(1.5, 12.0))
+    assert coil._minimize(coil._ratio_min, Bracket(1.5, 12.0)).converged
 
 
 def test_coil_validation():

@@ -95,6 +95,15 @@ class TestMinimizeScalar:
             x = r.root_or_argmin
             assert f(x) <= f(x + 10.0 * tol) + 1e-15
             assert f(x) <= f(x - 10.0 * tol) + 1e-15
+            assert r.converged
+
+    @pytest.mark.parametrize("f", [lambda x: x, lambda x: -math.exp(x), lambda x: 1.0])
+    def test_no_interior_minimum_is_unconverged(self, f):
+        # monotone or flat on the bracket: the central difference never
+        # changes sign, so the golden-section midpoint is not certified
+        r = minimize_scalar(f, Bracket(0.0, 1.0))
+        assert not r.converged
+        assert 0.0 <= r.root_or_argmin <= 1.0
 
 
 class TestSolveSystem2:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from shoreline import golden
 from shoreline.numerics import Bracket, integrate, minimize_scalar, uniform_block
 from shoreline.spiral_geometry import Spiral, arclength, second_contact
 from shoreline.spiral_objectives import (AnglePair, MINMAX_BRACKET, MINMEAN_BRACKET,
-                                         erroneous_objective, minimize_minmax,
-                                         minimize_minmean, minmax_objective,
+                                         _erroneous_slope, _minmax_slope, _minmean_slope,
+                                         erroneous_objective, minimize_erroneous,
+                                         minimize_minmax, minimize_minmean, minmax_objective,
                                          minmax_system_objective, minmax_system_residuals,
                                          minmean_objective, minmean_system_objective,
                                          minmean_system_residuals, phi, psi,
@@ -58,8 +60,8 @@ class TestMinmaxSystem:
     def test_residuals_vanish_at_optimum(self):
         opt = minimize_minmax()
         r1, r2 = minmax_system_residuals(AnglePair(opt.alpha, opt.beta))
-        assert abs(r1) < 1e-8
-        assert abs(r2) < 1e-8
+        assert abs(r1) < 1e-12
+        assert abs(r2) < 1e-12
 
     def test_constraint_residual_vanishes_off_optimum(self):
         # the second equation holds along the whole contact curve
@@ -136,13 +138,13 @@ class TestMinimizeMinmean:
 
 class TestMinmeanSystem:
     def test_stationarity_balance_at_optimum(self):
-        # exactly zero at the solved system; near zero at the scalar-search
-        # argmin, whose ~1e-10 accuracy the balance amplifies ~150x
+        # zero at the solved system and at the direct route's derivative
+        # root, which both sit within a few ulps of the optimum
         pair = solve_minmean_system()
         assert abs(phi(pair) + psi(pair) - xi(pair)) < 1e-12
         opt = minimize_minmean()
         direct = AnglePair(opt.alpha, opt.beta)
-        assert abs(phi(direct) + psi(direct) - xi(direct)) < 1e-6
+        assert abs(phi(direct) + psi(direct) - xi(direct)) < 1e-12
 
     def test_psi_negative(self):
         u = iter(uniform_block(77, 0, 200).tolist())
@@ -193,10 +195,22 @@ class TestMinmeanSystem:
     def test_routes_agree(self):
         opt = minimize_minmean()
         pair = solve_minmean_system()
-        assert abs(math.tan(pair.alpha) - opt.kappa) <= 1e-8
+        assert abs(math.tan(pair.alpha) - opt.kappa) <= 1e-12
+        assert abs(minmean_system_objective(pair) - opt.objective_value) <= 1e-12 * 7.0
 
 
 class TestErroneousObjective:
+    def test_erratum_derivative_root(self):
+        # the derivative root agrees with the derivative-free search below
+        # and with its mpmath value 0.22325376400369051
+        opt = minimize_erroneous()
+        assert opt.kappa == pytest.approx(0.22325376400369051, abs=1e-12)
+        assert opt.objective_value == pytest.approx(13.495022169503878, abs=1e-11)
+        assert opt.report.converged
+        report = minimize_scalar(erroneous_objective, Bracket(0.05, 1.0))
+        assert opt.kappa == pytest.approx(report.root_or_argmin, abs=1e-9)
+        assert opt.objective_value <= report.residual_or_value
+
     def test_published_erratum_pair(self):
         report = minimize_scalar(erroneous_objective, Bracket(0.05, 1.0))
         assert report.root_or_argmin == pytest.approx(0.22325, abs=5e-6)
@@ -238,3 +252,66 @@ def test_angle_pair_validation():
         AnglePair(0.0, 1.0)
     with pytest.raises(ValueError):
         AnglePair(0.5, math.pi / 2.0)
+
+
+SLOPES = [(minimize_minmax, _minmax_slope, minmax_objective, golden.MINMAX_KAPPA_REF),
+          (minimize_minmean, _minmean_slope, minmean_objective, golden.MINMEAN_KAPPA_REF)]
+
+
+class TestDerivativeRoute:
+    @pytest.mark.parametrize("minimize, slope, objective, reference", SLOPES)
+    def test_matches_reference(self, minimize, slope, objective, reference):
+        opt = minimize()
+        assert abs(opt.kappa - reference) <= 1e-12
+        assert opt.report.converged
+        # the objective value is read from the contact solved at the root
+        assert opt.objective_value == objective(opt.kappa)
+        contact = second_contact(Spiral(opt.kappa))
+        assert opt.beta == contact.theta0 + TWO_PI - opt.alpha - contact.theta1
+
+    @pytest.mark.parametrize("minimize, slope, objective, reference", SLOPES)
+    def test_certificate(self, minimize, slope, objective, reference):
+        # the derivative changes sign across kappa* -+ 1e-12, and both ends
+        # print the ten significant digits of the CLI's kappa line
+        k = minimize().kappa
+        lo, hi = k - 1e-12, k + 1e-12
+        assert slope(lo, second_contact(Spiral(lo))) < 0.0 < slope(hi, second_contact(Spiral(hi)))
+        assert f"{lo:.10g}" == f"{hi:.10g}" == f"{k:.10g}"
+
+    @pytest.mark.parametrize("slope, objective", [
+        (_minmax_slope, minmax_objective), (_minmean_slope, minmean_objective),
+        (_erroneous_slope, erroneous_objective)])
+    def test_slope_is_log_derivative(self, slope, objective):
+        # against a central difference of ln(objective), whose error at
+        # h = 1e-6 is a few 1e-10
+        h = 1e-6
+        for k in uniform_block(31, 0, 20, 0.08, 1.8).tolist():
+            fd = (math.log(objective(k + h)) - math.log(objective(k - h))) / (2.0 * h)
+            assert slope(k, second_contact(Spiral(k))) == pytest.approx(fd, abs=1e-8)
+
+
+def test_spiral_references_by_mpmath():
+    # both spiral optima recomputed at 40 digits: theta1 from its defining
+    # equation, each log-objective differentiated numerically by mpmath,
+    # so no analytic derivative of the package is reused
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def theta1(k):
+            om0 = mp.log(1 + k * k) / (2 * k) - mp.atan(k)
+            return mp.findroot(lambda th: k * th + mp.log(mp.cos(th - om0)),
+                               (om0 + 1.5 * mp.pi + mp.mpf("1e-30"), om0 + 2 * mp.pi),
+                               solver="anderson")
+
+        def ln_minmax(k):
+            return mp.log(mp.sqrt(1 + k * k) / k) + k * theta1(k)
+
+        def ln_minmean(k):
+            # ln(2*pi*minmean_objective): the constant drops out of the root
+            u, v = mp.sqrt(1 + k * k), mp.exp(k * theta1(k))
+            return mp.log(u / k * (v / k + mp.acosh(v) - u / k + mp.acosh(u)))
+
+        for f, start, reference in ((ln_minmax, "0.2124695594", golden.MINMAX_KAPPA_REF),
+                                    (ln_minmean, "0.3732051316", golden.MINMEAN_KAPPA_REF)):
+            root = mp.findroot(lambda k: mp.diff(f, k), mp.mpf(start))
+            # each golden reference is the double nearest the 40-digit root
+            assert float(root) == reference
