@@ -120,6 +120,7 @@ def _check_coil_minmax() -> Tuple[bool, str]:
     gamma, ratio = optimal_minmax_coil()
     scanned = scan_worst_ratio(2.0, 100_000)
     conds = [abs(gamma - golden.COIL_MINMAX_GAMMA) <= 1e-9,
+             abs(gamma - golden.COIL_MINMAX_GAMMA_REF) <= 1e-12,
              abs(ratio - golden.COIL_MINMAX_RATIO) <= 1e-9,
              scanned >= golden.COIL_MINMAX_RATIO - 1e-6,
              scanned <= golden.COIL_MINMAX_RATIO + 1e-12]
@@ -160,8 +161,10 @@ def _check_ratio_extrema() -> Tuple[bool, str]:
 def _check_coil_minmean() -> Tuple[bool, str]:
     opt = optimal_minmean_coil()
     conds = [abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN) <= 1e-8,
+             abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN_REF) <= 1e-12,
              abs(opt.mean_min - golden.COIL_MEAN_MIN) <= 1e-8,
              abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX) <= 1e-8,
+             abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX_REF) <= 1e-12,
              abs(opt.mean_max - golden.COIL_MEAN_MAX) <= 1e-8]
     detail = (f"period-min: ({opt.gamma_for_min:.10f}, {opt.mean_min:.10f}) "
               f"period-max: ({opt.gamma_for_max:.10f}, {opt.mean_max:.10f})")
@@ -174,6 +177,7 @@ def _check_mixed() -> Tuple[bool, str]:
     stats = mixed_strategy_sample(strat.gamma, 1.0, cfg)
     gap = abs(stats.mean - (1.0 + strat.gamma))
     conds = [abs(strat.gamma - golden.MIXED_GAMMA) <= 1e-10,
+             abs(strat.gamma - golden.MIXED_GAMMA_REF) <= 1e-12,
              gap <= 3.0 * stats.std_error]
     detail = (f"gamma={strat.gamma:.12f} sampled mean={stats.mean:.6f} "
               f"z={gap / stats.std_error:+.2f}")

@@ -347,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, AssertionError, OverflowError) as exc:
+    except (NumericalError, OverflowError) as exc:
         # libm's overflow text names neither the quantity nor the input
         detail = "result beyond the float range" if isinstance(exc, OverflowError) else exc
         print(f"numerical failure: {_invocation(args)}: {detail}", file=sys.stderr)

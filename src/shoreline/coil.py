@@ -3,22 +3,22 @@ points at +gamma^(2i) and -gamma^(2i-1).
 
 Covers the travel distance delta(X) to a signed target in closed form (the
 trajectory itself is walked in `simulate.coil_marching_distance`), the
-worst-case ratio sup delta(X)/|X| with its optimal expansion ratio, the
-normalized average of delta(x)/|x| over symmetric intervals (a log-periodic
-function of the interval radius, whose period extrema give two deterministic
-mean criteria), and the phase-randomized mixed strategy with its expected
-ratio 1 + (gamma+1)/ln(gamma).
+worst-case ratio sup delta(X)/|X|, the normalized average of delta(x)/|x|
+over symmetric intervals (a log-periodic function of the interval radius,
+whose period extrema give two deterministic mean criteria), and the
+phase-randomized mixed strategy with its expected ratio 1 + (gamma+1)/ln(gamma).
+Each optimal expansion ratio is the root of a closed-form derivative in gamma.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .numerics import Bracket, NumericalError, SolveReport, lambert_w0, minimize_scalar
+from .numerics import Bracket, NumericalError, find_root, lambert_w0
 
 __all__ = [
     "Coil",
@@ -97,7 +97,7 @@ class MixedStrategy:
 
     @property
     def expected_ratio(self) -> float:
-        return _mixed_ratio(self.gamma)
+        return 1.0 + (self.gamma + 1.0) / math.log(self.gamma)
 
 
 class MeanOptima(NamedTuple):
@@ -204,26 +204,18 @@ def worst_case_ratio(coil: Coil) -> float:
     return (2.0 * g * g + g - 1.0) / (g - 1.0)
 
 
-def _minimize(f: Callable[[float], float], bracket: Bracket) -> SolveReport:
-    """`minimize_scalar`, with an unconverged report (no interior minimum
-    found) raised as a NumericalError."""
-    report = minimize_scalar(f, bracket)
-    if not report.converged:
-        raise NumericalError(f"no interior minimum on [{bracket.lo}, {bracket.hi}]")
-    return report
-
-
 def optimal_minmax_coil() -> Tuple[float, float]:
     """The expansion ratio minimizing the worst-case ratio: (2, 9).
 
-    Found by bracketed minimization on [1.2, 5] and checked against the
-    analytic critical point gamma = 2 of (2g^2 + g - 1)/(g - 1).
+    The worst-case ratio is 2g + 3 + 2/(g - 1), so gamma is the root of its
+    derivative 2 - 2/(g - 1)^2 on [1.2, 5], checked to 2 ulps against the
+    analytic critical point gamma = 2.
     """
-    report = _minimize(lambda g: worst_case_ratio(Coil(g)), Bracket(1.2, 5.0))
-    gamma = report.root_or_argmin
-    if abs(gamma - 2.0) > 1e-9:
-        raise AssertionError(f"minimizer {gamma!r} disagrees with analytic critical point 2")
-    return gamma, report.residual_or_value
+    gamma = find_root(lambda g: 2.0 - 2.0 / (g - 1.0) ** 2, Bracket(1.2, 5.0),
+                      tol=1e-15).root_or_argmin
+    if abs(gamma - 2.0) > 2.0 * math.ulp(2.0):
+        raise NumericalError(f"derivative root {gamma!r} disagrees with analytic critical point 2")
+    return gamma, worst_case_ratio(Coil(gamma))
 
 
 def average_ratio(coil: Coil, x: float) -> float:
@@ -279,15 +271,15 @@ def optimal_minmean_coil() -> MeanOptima:
     average: the period-minimum criterion gives gamma = 5.7041372673... with
     mean 4.0089813375..., the period-maximum criterion gamma = 3.2232549401...
     with mean 4.8131558458....  Both are returned; neither dominates the
-    other a priori."""
-    rmin = _minimize(_ratio_min, Bracket(1.5, 12.0))
-    rmax = _minimize(_ratio_max, Bracket(1.5, 12.0))
-    return MeanOptima(gamma_for_min=rmin.root_or_argmin, mean_min=rmin.residual_or_value,
-                      gamma_for_max=rmax.root_or_argmin, mean_max=rmax.residual_or_value)
-
-
-def _mixed_ratio(g: float) -> float:
-    return 1.0 + (g + 1.0) / math.log(g)
+    other a priori.  Each gamma is a root on [1.5, 12] of a log-derivative:
+    d ln(min - 1)/dg = 1/g + 1/(g + 1) + 1/(g ln g) - 2/(g - 1) and
+    d ln(max - 1)/dg = 1/(g + 1) - ln(g)/(g - 1)^2."""
+    g_min = find_root(lambda g: 1.0 / g + 1.0 / (g + 1.0) + 1.0 / (g * math.log(g))
+                      - 2.0 / (g - 1.0), Bracket(1.5, 12.0), tol=1e-15).root_or_argmin
+    g_max = find_root(lambda g: 1.0 / (g + 1.0) - math.log(g) / (g - 1.0) ** 2,
+                      Bracket(1.5, 12.0), tol=1e-15).root_or_argmin
+    return MeanOptima(gamma_for_min=g_min, mean_min=_ratio_min(g_min),
+                      gamma_for_max=g_max, mean_max=_ratio_max(g_max))
 
 
 def mixed_expected_ratio(gamma: float) -> MixedStrategy:
@@ -301,12 +293,12 @@ def optimal_mixed() -> MixedStrategy:
     gamma = 1/W(1/e) = 3.591121476669..., where stationarity forces
     ln(gamma) = 1 + 1/gamma and hence an expected ratio of exactly 1 + gamma.
 
-    The closed form is cross-checked against bracketed minimization of
-    ``mixed_expected_ratio`` on [1.5, 10].
+    The closed form is cross-checked to 4 ulps against the root of that
+    stationarity condition, ln(g) - 1 - 1/g, on [1.5, 10].
     """
     gamma = 1.0 / lambert_w0(math.exp(-1.0))
-    report = _minimize(_mixed_ratio, Bracket(1.5, 10.0))
-    if abs(report.root_or_argmin - gamma) > 1e-9:
-        raise AssertionError(
-            f"minimizer {report.root_or_argmin!r} disagrees with 1/W(1/e) = {gamma!r}")
+    root = find_root(lambda g: math.log(g) - 1.0 - 1.0 / g, Bracket(1.5, 10.0),
+                     tol=1e-15).root_or_argmin
+    if abs(root - gamma) > 4.0 * math.ulp(gamma):
+        raise NumericalError(f"stationary point {root!r} disagrees with 1/W(1/e) = {gamma!r}")
     return mixed_expected_ratio(gamma)

@@ -18,14 +18,15 @@ MINMEAN_OBJECTIVE = 7.0321857865
 MINMEAN_EXP_KAPPA = 1.4523822387
 
 # 17-digit references: each optimum recomputed with mpmath at 40 digits
-# (tests/test_spiral_objectives.py recomputes the two spiral ones where
-# mpmath is installed).  The 10-digit names above and below are the
-# published values.
+# (tests/test_spiral_objectives.py recomputes the spiral ones and
+# tests/test_coil.py the coil ones where mpmath is installed).  The 10-digit
+# names above and below are the published values.
 MINMAX_KAPPA_REF = 0.21246955941564791
 MINMEAN_KAPPA_REF = 0.37320513161346673
 COIL_MINMAX_GAMMA_REF = 2.0
 COIL_MEAN_GAMMA_FOR_MIN_REF = 5.7041372673478367
 COIL_MEAN_GAMMA_FOR_MAX_REF = 3.2232549401002926
+MIXED_GAMMA_REF = 3.5911214766686221
 
 # Historically published erroneous estimates (argmin and minimum of
 # e^(kappa*theta1)/kappa; the true worst-case arclength at that argmin is

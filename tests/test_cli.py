@@ -9,8 +9,9 @@ from typing import Optional
 
 import pytest
 
-from shoreline import golden
+from shoreline import coil, golden
 from shoreline.cli import build_parser, main
+from shoreline.numerics import lambert_w0
 from shoreline.spiral_geometry import Spiral, second_contact
 from shoreline.spiral_objectives import erroneous_objective, minmax_objective, minmean_objective
 
@@ -66,23 +67,44 @@ class TestSpiralCommands:
             assert out == "" and "--R" in err
 
 
-class TestCoilCommands:
-    def test_minmax(self):
-        rec = json.loads(run_cli("coil", "minmax", "--format", "json").stdout)
-        assert rec["results"]["gamma"] == pytest.approx(2.0, abs=1e-9)
-        assert rec["results"]["ratio"] == pytest.approx(9.0, abs=1e-9)
+def _json_results(capsys, *argv: str) -> dict:
+    # the printed record of an in-process `main` call that succeeded
+    assert main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
 
-    def test_minmean(self):
-        rec = json.loads(run_cli("coil", "minmean", "--format", "json").stdout)
-        res = rec["results"]
+
+class TestCoilCommands:
+    def test_minmax(self, capsys):
+        res = _json_results(capsys, "coil", "minmax")
+        assert res["gamma"] == pytest.approx(2.0, abs=1e-9)
+        assert res["ratio"] == pytest.approx(9.0, abs=1e-9)
+
+    def test_minmean(self, capsys):
+        res = _json_results(capsys, "coil", "minmean")
         assert res["gamma_for_min"] == pytest.approx(5.7041372673, abs=1e-8)
         assert res["mean_min"] == pytest.approx(4.0089813375, abs=1e-8)
         assert res["gamma_for_max"] == pytest.approx(3.2232549401, abs=1e-8)
         assert res["mean_max"] == pytest.approx(4.8131558458, abs=1e-8)
 
-    def test_mixed(self):
-        rec = json.loads(run_cli("coil", "mixed", "--format", "json").stdout)
-        assert rec["results"]["gamma"] == pytest.approx(3.591121476669, abs=1e-10)
+    def test_minmean_text(self, capsys):
+        # the period-min gamma prints the published tenth digit
+        assert main(["coil", "minmean"]) == 0
+        out = capsys.readouterr().out
+        assert "\ngamma_for_min = 5.704137267\n" in out
+        assert "\ngamma_for_max = 3.22325494\n" in out
+
+    def test_mixed(self, capsys):
+        res = _json_results(capsys, "coil", "mixed")
+        assert res["gamma"] == pytest.approx(3.591121476669, abs=1e-10)
+
+    def test_mixed_cross_check_failure(self, monkeypatch, capsys):
+        # a Lambert W off by 1e-9 fails the 4-ulp cross-check against the
+        # stationary root: one classified line, exit 1, no traceback
+        monkeypatch.setattr(coil, "lambert_w0", lambda x: lambert_w0(x) + 1e-9)
+        assert main(["coil", "mixed"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical failure: coil mixed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_eval(self):
         rec = json.loads(run_cli("coil", "eval", "--gamma", "2", "--X", "3",

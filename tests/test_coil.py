@@ -8,7 +8,7 @@ from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket
                             mixed_expected_ratio, optimal_minmax_coil,
                             optimal_minmean_coil, optimal_mixed, ratio_extrema,
                             travel_distance, worst_case_ratio)
-from shoreline.numerics import Bracket, NumericalError, integrate, lambert_w0, uniform_block
+from shoreline.numerics import NumericalError, find_root, integrate, lambert_w0, uniform_block
 from shoreline.simulate import SimConfig, coil_marching_distance
 
 WALK_CFG = SimConfig(seed=0, samples=1)
@@ -159,8 +159,8 @@ class TestWorstCaseRatio:
 
     def test_optimal_coil(self):
         gamma, ratio = optimal_minmax_coil()
-        assert gamma == pytest.approx(2.0, abs=1e-9)
-        assert ratio == pytest.approx(9.0, abs=1e-9)
+        assert abs(gamma - golden.COIL_MINMAX_GAMMA_REF) <= 2.0 * math.ulp(2.0)
+        assert ratio == pytest.approx(golden.COIL_MINMAX_RATIO, abs=1e-14)
         assert worst_case_ratio(Coil(1.9)) > 9.0
         assert worst_case_ratio(Coil(2.1)) > 9.0
 
@@ -350,19 +350,20 @@ class TestRatioExtrema:
 
 class TestOptimalMinmeanCoil:
     def test_published_constants(self):
+        # each gamma against its 17-digit reference, each mean to half a unit
+        # of its published tenth decimal
         opt = optimal_minmean_coil()
-        assert opt.gamma_for_min == pytest.approx(5.7041372673, abs=1e-8)
-        assert opt.mean_min == pytest.approx(4.0089813375, abs=1e-8)
-        assert opt.gamma_for_max == pytest.approx(3.2232549401, abs=1e-8)
-        assert opt.mean_max == pytest.approx(4.8131558458, abs=1e-8)
+        assert abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN_REF) <= 4e-15
+        assert opt.mean_min == pytest.approx(golden.COIL_MEAN_MIN, abs=5e-11)
+        assert abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX_REF) <= 4e-15
+        assert opt.mean_max == pytest.approx(golden.COIL_MEAN_MAX, abs=5e-11)
 
     def test_mpmath_references(self):
-        # the golden-section route stays within 1e-9 of the 17-digit
-        # references (7.0e-10 and 2.8e-10 off), as does the min-max coil
+        # the derivative roots land within a few ulps of the 17-digit references
         opt = optimal_minmean_coil()
-        assert abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN_REF) <= 1e-9
-        assert abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX_REF) <= 1e-9
-        assert abs(optimal_minmax_coil()[0] - golden.COIL_MINMAX_GAMMA_REF) <= 1e-9
+        assert abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN_REF) <= 4e-15
+        assert abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX_REF) <= 4e-15
+        assert abs(optimal_minmax_coil()[0] - golden.COIL_MINMAX_GAMMA_REF) <= 4e-15
 
     def test_both_beat_worst_case_guarantee(self):
         opt = optimal_minmean_coil()
@@ -388,6 +389,7 @@ class TestMixedStrategy:
     def test_optimal_mixed(self):
         strat = optimal_mixed()
         assert strat.gamma == pytest.approx(3.591121476669, abs=1e-10)
+        assert abs(strat.gamma - golden.MIXED_GAMMA_REF) <= 4e-15
         assert strat.gamma == pytest.approx(1.0 / lambert_w0(1.0 / math.e), rel=1e-15)
         assert strat.expected_ratio == pytest.approx(1.0 + strat.gamma, abs=1e-10)
 
@@ -408,12 +410,56 @@ class TestMixedStrategy:
         assert MixedStrategy(2.0).expected_ratio == 1.0 + 3.0 / math.log(2.0)
 
 
-def test_coil_optimizers_refuse_an_unconverged_minimum():
-    # the three coil optimizers go through _minimize, which raises where
-    # minimize_scalar finds no interior minimum
-    with pytest.raises(NumericalError, match="no interior minimum"):
-        coil._minimize(lambda g: g, Bracket(1.5, 12.0))
-    assert coil._minimize(coil._ratio_min, Bracket(1.5, 12.0)).converged
+def test_derivative_root_certificate(monkeypatch):
+    # every slope the coil optimizers solve changes sign across gamma* -+ 1e-12,
+    # from below to above (a minimum), and both ends print the ten significant
+    # digits of the CLI's gamma lines
+    solved = []
+
+    def recording_find_root(f, bracket, tol):
+        report = find_root(f, bracket, tol=tol)
+        solved.append((f, report))
+        return report
+
+    monkeypatch.setattr(coil, "find_root", recording_find_root)
+    for optimizer in (optimal_minmax_coil, optimal_minmean_coil, optimal_mixed):
+        optimizer()
+    assert len(solved) == 4
+    for slope, report in solved:
+        g = report.root_or_argmin
+        lo, hi = g - 1e-12, g + 1e-12
+        assert report.converged
+        assert slope(lo) < 0.0 < slope(hi)
+        assert f"{lo:.10g}" == f"{hi:.10g}" == f"{g:.10g}"
+
+
+def test_coil_references_by_mpmath():
+    # the coil optima recomputed at 40 digits, each closed-form objective
+    # differentiated numerically by mpmath, so no slope formula of the
+    # package is reused
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def worst_ratio(g):
+            return (2 * g * g + g - 1) / (g - 1)
+
+        def period_min(g):
+            return 1 + g * (g + 1) * mp.log(g) / (g - 1) ** 2
+
+        def period_max(g):
+            return 1 + (g + 1) / (g - 1) * g ** (g / (g - 1)) / mp.e
+
+        def mixed_ratio(g):
+            return 1 + (g + 1) / mp.log(g)
+
+        for f, start, reference in (
+                (worst_ratio, "2.1", golden.COIL_MINMAX_GAMMA_REF),
+                (period_min, "5.7041372673", golden.COIL_MEAN_GAMMA_FOR_MIN_REF),
+                (period_max, "3.2232549401", golden.COIL_MEAN_GAMMA_FOR_MAX_REF),
+                (mixed_ratio, "3.591121476669", golden.MIXED_GAMMA_REF)):
+            root = mp.findroot(lambda g: mp.diff(f, g), mp.mpf(start))
+            # each golden reference is the double nearest the 40-digit root
+            assert float(root) == reference
+        assert float(1 / mp.lambertw(1 / mp.e)) == golden.MIXED_GAMMA_REF
 
 
 def test_coil_validation():
