@@ -117,31 +117,30 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
     magnitude ``xa`` at offset ``c``, given r = ln(xa)/(2 ln g).  Each power
     is computed once, and a nudge up reuses the upper one as the lower.
 
-    Two turning points a nudge apart are distinct doubles unless they are
-    subnormal or their exponent is past 2^53, where it is rounded; then the
-    bracket cannot be resolved, and a nudge that does not move the power is a
-    NumericalError instead of one of up to ~1e12 more nudges."""
+    A target is refused by the walk's two rules, whatever nudges follow: an
+    index |2i| >= 2^53 on the ceiling guess, where exponents are rounded, and
+    a path that leaves from a subnormal turning point g^(2i+1+c) = lo*g,
+    which has lost the digits of delta.  A nudge that leaves the power
+    unchanged happens only among subnormals, so it stops there and meets the
+    second rule, instead of one of up to ~1e12 more nudges."""
     i = math.ceil(r - (1.0 + 0.5 * c))
+    if not -2 ** 52 < i < 2 ** 52:  # |2i| < 2^53
+        raise NumericalError("turning-point index beyond exact doubles")
     lo = g ** (2 * i + c)
     while lo >= xa:
         i -= 1
         lo, last = g ** (2 * i + c), lo
         if lo == last:
-            raise _unresolved(i)
+            break
     hi = g ** (2 * i + 2 + c)
     while hi < xa:
         i += 1
         lo, hi = hi, g ** (2 * i + 2 + c)
         if hi == lo:
-            raise _unresolved(i)
+            break
+    if lo * g < 2.2250738585072014e-308:  # the smallest normal double
+        raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
     return i, lo, hi
-
-
-def _unresolved(i: int) -> NumericalError:
-    # The walk's rule for turning-point indices, else the powers underflowed.
-    if abs(2 * i) >= 2 ** 53:
-        return NumericalError("turning-point index beyond exact doubles")
-    return NumericalError("underflow: a target's turning points are subnormal")
 
 
 def _target_bracket(coil: Coil, target: float) -> Tuple[int, float, float]:
@@ -211,8 +210,7 @@ def optimal_minmax_coil() -> Tuple[float, float]:
     derivative 2 - 2/(g - 1)^2 on [1.2, 5], checked to 2 ulps against the
     analytic critical point gamma = 2.
     """
-    gamma = find_root(lambda g: 2.0 - 2.0 / (g - 1.0) ** 2, Bracket(1.2, 5.0),
-                      tol=1e-15).root_or_argmin
+    gamma = find_root(lambda g: 2.0 - 2.0 / (g - 1.0) ** 2, Bracket(1.2, 5.0)).root_or_argmin
     if abs(gamma - 2.0) > 2.0 * math.ulp(2.0):
         raise NumericalError(f"derivative root {gamma!r} disagrees with analytic critical point 2")
     return gamma, worst_case_ratio(Coil(gamma))
@@ -275,9 +273,9 @@ def optimal_minmean_coil() -> MeanOptima:
     d ln(min - 1)/dg = 1/g + 1/(g + 1) + 1/(g ln g) - 2/(g - 1) and
     d ln(max - 1)/dg = 1/(g + 1) - ln(g)/(g - 1)^2."""
     g_min = find_root(lambda g: 1.0 / g + 1.0 / (g + 1.0) + 1.0 / (g * math.log(g))
-                      - 2.0 / (g - 1.0), Bracket(1.5, 12.0), tol=1e-15).root_or_argmin
+                      - 2.0 / (g - 1.0), Bracket(1.5, 12.0)).root_or_argmin
     g_max = find_root(lambda g: 1.0 / (g + 1.0) - math.log(g) / (g - 1.0) ** 2,
-                      Bracket(1.5, 12.0), tol=1e-15).root_or_argmin
+                      Bracket(1.5, 12.0)).root_or_argmin
     return MeanOptima(gamma_for_min=g_min, mean_min=_ratio_min(g_min),
                       gamma_for_max=g_max, mean_max=_ratio_max(g_max))
 
@@ -297,8 +295,7 @@ def optimal_mixed() -> MixedStrategy:
     stationarity condition, ln(g) - 1 - 1/g, on [1.5, 10].
     """
     gamma = 1.0 / lambert_w0(math.exp(-1.0))
-    root = find_root(lambda g: math.log(g) - 1.0 - 1.0 / g, Bracket(1.5, 10.0),
-                     tol=1e-15).root_or_argmin
+    root = find_root(lambda g: math.log(g) - 1.0 - 1.0 / g, Bracket(1.5, 10.0)).root_or_argmin
     if abs(root - gamma) > 4.0 * math.ulp(gamma):
         raise NumericalError(f"stationary point {root!r} disagrees with 1/W(1/e) = {gamma!r}")
     return mixed_expected_ratio(gamma)

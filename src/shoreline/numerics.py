@@ -67,56 +67,58 @@ def _check_finite(x: float) -> float:
     return x
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12) -> SolveReport:
-    """Find a root of ``f`` inside ``bracket``.
+def find_root(f: Callable[[float], float], bracket: Bracket) -> SolveReport:
+    """Find a root of ``f`` inside ``bracket`` by Brent's method (zeroin; Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
 
-    Bisection with a secant acceleration step; whenever the interpolated
-    point falls outside the current bracket (or fails to shrink it fast
-    enough) the step reverts to plain bisection, so convergence is
-    guaranteed.  Terminates when |f| <= tol, when the bracket width is
-    <= tol, or when no representable interior point remains.  ``tol``
-    bounds |f| in f's own units as well as the width, so callers pass an f
-    of unit scale near its root: for f scaled by a small factor, |f| <= tol
-    holds far from the root.
+    Each step is inverse-quadratic or secant interpolation inside the
+    sign-change bracket [b, c], or bisection when that would not shrink the
+    bracket fast enough.  It stops when f(b) is exactly 0 or the half-width
+    is at most 2*eps*|b| plus the smallest subnormal (so a root at 0 ends
+    too), and returns b, the end with the smaller |f|.  ``iterations`` counts
+    evaluations past the two ends; ``converged`` is False only at the cap of 200.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lo, hi = bracket.lo, bracket.hi
-    flo = _check_finite(f(lo))
-    fhi = _check_finite(f(hi))
-    if flo == 0.0:
-        return SolveReport(lo, 0.0, 0, True)
-    if fhi == 0.0:
-        return SolveReport(hi, 0.0, 0, True)
-    if (flo > 0.0) == (fhi > 0.0):
+    a, b = bracket.lo, bracket.hi
+    fa = _check_finite(f(a))
+    fb = _check_finite(f(b))
+    if fa == 0.0:
+        return SolveReport(a, 0.0, 0, True)
+    if fb == 0.0:
+        return SolveReport(b, 0.0, 0, True)
+    if (fa > 0.0) == (fb > 0.0):
         raise ValueError("invalid bracket: f(lo) and f(hi) have the same sign")
 
-    iterations = 0
-    x_best, f_best = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    for iterations in range(1, 201):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            return SolveReport(x_best, f_best, iterations, True)  # width minimal
-        x = mid
-        # Secant candidate; every third iteration bisect unconditionally so
-        # the width provably halves at a geometric rate.
-        if iterations % 3 != 0 and fhi != flo:
-            s = hi - fhi * (hi - lo) / (fhi - flo)
-            if lo < s < hi:
-                x = s
-        fx = _check_finite(f(x))
-        if abs(fx) < abs(f_best):
-            x_best, f_best = x, fx
-        if fx == 0.0:
-            return SolveReport(x, 0.0, iterations, True)
-        if (fx > 0.0) != (flo > 0.0):
-            hi, fhi = x, fx
+    c, fc = a, fa
+    d = e = b - a
+    for iterations in range(201):
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 ** -51 * abs(b) + 5e-324
+        m = 0.5 * (c - b)
+        converged = fb == 0.0 or abs(m) <= tol
+        if converged or iterations == 200:
+            return SolveReport(b, fb, iterations, converged)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant through a and b
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            lo, flo = x, fx
-        if abs(fx) <= tol or hi - lo <= tol:
-            return SolveReport(x_best, f_best, iterations, True)
-    return SolveReport(x_best, f_best, iterations,
-                       abs(f_best) <= tol or hi - lo <= tol)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = _check_finite(f(b))
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def _golden_section(f, lo: float, hi: float, stop_width: float):
@@ -357,9 +359,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
-def uniform_block(seed: int, start: int, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Stream values for positions start .. start+count-1: a uniform double
-    in [lo, hi) from the top 53 bits of each mixed counter."""
+    in [0, 1) from the top 53 bits of each mixed counter."""
     if count < 0:
         raise ValueError("count must be non-negative")
     z = np.arange(start, start + count, dtype=np.uint64)
@@ -374,6 +376,4 @@ def uniform_block(seed: int, start: int, count: int, lo: float = 0.0, hi: float 
     z >>= np.uint64(11)
     u = z.astype(np.float64)
     u *= 2.0 ** -53
-    u *= hi - lo
-    u += lo
     return u

@@ -90,10 +90,10 @@ class SimConfig:
 
     ``march_step`` is in radians for the scalar spiral march
     `spiral_first_contact` (the coil walk runs over arrays of targets and is
-    segment-exact).  `find_root` refines each crossing to a distance residual
-    or bracket width of 1e-15 regardless of the march step; the step only
-    controls how finely crossings are scouted, near-tangent cases being
-    caught by the grazing band.  The Monte Carlo drivers do not read it.
+    segment-exact).  `find_root` refines each crossing to a bracket half-width
+    of 2*eps*|theta| regardless of the march step; the step only controls
+    how finely crossings are scouted, near-tangent cases being caught by the
+    grazing band.  The Monte Carlo drivers do not read it.
     """
 
     seed: int = 0
@@ -244,7 +244,7 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     Marches theta upward from min(0, omega) - 2*pi in steps of
     ``cfg.march_step``, evaluating the signed distance d(theta) =
     `contact_distance` exactly; the first sign change is refined by
-    `find_root` on d.  A marched local maximum of d inside the grazing band
+    `find_root` on d to the last bits of theta.  A marched local maximum of d inside the grazing band
     (~ |d''| * h^2) is refined by golden-section search: if the refined peak
     is positive the left crossing of the narrow excursion is refined the same
     way; if it is within _GRAZE_TOL of zero the contact is tangential and the
@@ -260,7 +260,7 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
     distance = functools.partial(contact_distance, kappa, omega)
 
     def contact(lo: float, hi: float) -> Tuple[float, float]:
-        hit = find_root(distance, Bracket(lo, hi), tol=1e-15).root_or_argmin
+        hit = find_root(distance, Bracket(lo, hi)).root_or_argmin
         return hit, arclength(kappa, hit)
 
     h = cfg.march_step

@@ -107,8 +107,7 @@ def second_contact(spiral: Spiral) -> TangentContact:
         raise NumericalError(
             "second-contact bracket sign conditions violated (solved at R = 1) for "
             f"kappa={k!r}")
-    report = find_root(lambda th: contact_distance(k, unit_omega0, th),
-                       Bracket(lo, hi), tol=1e-15)
+    report = find_root(lambda th: contact_distance(k, unit_omega0, th), Bracket(lo, hi))
     return contact_at(spiral, report.root_or_argmin)
 
 

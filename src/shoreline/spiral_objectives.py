@@ -23,8 +23,9 @@ omega0' = -theta0/kappa.  With t = tan(theta1 - omega0) < 0,
 
 and the second form, a product of same-signed factors, is what the three
 log-derivatives read.  Each derivative evaluation costs one `second_contact`, and `find_root`
-pins its sign change to the last bits of kappa, where comparing objective
-values would stop at about sqrt(machine epsilon).
+(Brent's method) pins its sign change to a few ulps of kappa in about ten
+evaluations, where comparing objective values would stop at about
+sqrt(machine epsilon).
 
 Each objective is a formula on the R = 1 contact triple (``minmax_at``,
 ``minmean_at``, ``erroneous_at``) behind its public function of kappa, so
@@ -192,7 +193,7 @@ def _optimum(objective_at, slope_at, bracket: Bracket) -> Optimum:
     The objective value and the angle pair, alpha = arctan(kappa) and
     beta = theta0 + 2*pi - alpha - theta1, come from one contact solved at
     the root."""
-    report = find_root(lambda k: slope_at(k, second_contact(Spiral(k))), bracket, tol=1e-15)
+    report = find_root(lambda k: slope_at(k, second_contact(Spiral(k))), bracket)
     kappa = report.root_or_argmin
     contact = second_contact(Spiral(kappa))
     alpha = math.atan(kappa)

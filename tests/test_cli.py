@@ -21,30 +21,32 @@ def run_cli(*args: str, timeout: Optional[float] = None) -> subprocess.Completed
     return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
 
 
-class TestSpiralCommands:
-    def test_minmax_text(self):
-        cp = run_cli("spiral", "minmax")
-        assert cp.returncode == 0, cp.stderr
-        # both routes print the published tenth digit
-        assert "\nsystem_kappa = 0.2124695594\n" in cp.stdout
-        assert "\nkappa = 0.2124695594\n" in cp.stdout
-        assert "objective = 13.81113518" in cp.stdout
+def _json_results(capsys, *argv: str) -> dict:
+    # the printed record of an in-process `main` call that succeeded
+    assert main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
 
-    def test_minmean_json(self):
-        cp = run_cli("spiral", "minmean", "--format", "json")
-        assert cp.returncode == 0, cp.stderr
-        rec = json.loads(cp.stdout)
+
+class TestSpiralCommands:
+    def test_minmax_text(self, capsys):
+        assert main(["spiral", "minmax"]) == 0
+        out = capsys.readouterr().out
+        # both routes print the published tenth digit
+        assert "\nsystem_kappa = 0.2124695594\n" in out
+        assert "\nkappa = 0.2124695594\n" in out
+        assert "objective = 13.81113518" in out
+
+    def test_minmean_json(self, capsys):
+        assert main(["spiral", "minmean", "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
         assert rec["command"] == "spiral minmean"
         assert rec["results"]["kappa"] == pytest.approx(0.3732051316, abs=1e-8)
         assert rec["results"]["objective"] == pytest.approx(7.0321857865, abs=1e-7)
         assert rec["results"]["route_gap_kappa"] < 1e-12
 
-    def test_eval_with_radius_scaling(self):
-        cp1 = json.loads(run_cli("spiral", "eval", "--kappa", "0.5",
-                                 "--format", "json").stdout)
-        cp5 = json.loads(run_cli("spiral", "eval", "--kappa", "0.5", "--R", "5",
-                                 "--format", "json").stdout)
-        r1, r5 = cp1["results"], cp5["results"]
+    def test_eval_with_radius_scaling(self, capsys):
+        r1 = _json_results(capsys, "spiral", "eval", "--kappa", "0.5")
+        r5 = _json_results(capsys, "spiral", "eval", "--kappa", "0.5", "--R", "5")
         # lengths scale by R, angles shift by ln(R)/kappa
         assert r5["minmax_objective"] == pytest.approx(5 * r1["minmax_objective"], rel=1e-9)
         assert r5["minmean_objective"] == pytest.approx(5 * r1["minmean_objective"], rel=1e-9)
@@ -65,12 +67,6 @@ class TestSpiralCommands:
             assert main(["spiral", *mode, f"--R={radius}"]) == 2
             out, err = capsys.readouterr()
             assert out == "" and "--R" in err
-
-
-def _json_results(capsys, *argv: str) -> dict:
-    # the printed record of an in-process `main` call that succeeded
-    assert main([*argv, "--format", "json"]) == 0
-    return json.loads(capsys.readouterr().out)["results"]
 
 
 class TestCoilCommands:
@@ -106,10 +102,8 @@ class TestCoilCommands:
         assert out == "" and err.startswith("numerical failure: coil mixed: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_eval(self):
-        rec = json.loads(run_cli("coil", "eval", "--gamma", "2", "--X", "3",
-                                 "--format", "json").stdout)
-        res = rec["results"]
+    def test_eval(self, capsys):
+        res = _json_results(capsys, "coil", "eval", "--gamma", "2", "--X", "3")
         assert res["delta"] == 11.0
         assert res["ratio"] == pytest.approx(11.0 / 3.0, rel=1e-12)
         assert res["bracket_index"] == 0
@@ -334,11 +328,14 @@ def test_unresolvable_bracket_fails_fast(argv, reason):
     assert cp.stderr.count("\n") == 1
 
 
-def test_subnormal_target_with_exact_powers(capsys):
-    # at gamma = 2 the turning points 2^-1076 = 0 and 2^-1074 stay distinct
-    assert main(["coil", "eval", "--gamma", "2", "--X", "5e-324", "--format", "json"]) == 0
-    res = json.loads(capsys.readouterr().out)["results"]
-    assert res["delta"] == 1.5e-323 and res["bracket_index"] == -538
+@pytest.mark.parametrize("gamma, target", [("2", "5e-324"), ("1.000000000001", "1e-310")])
+def test_subnormal_departure_is_refused(gamma, target, capsys):
+    # the path to X leaves from a subnormal turning point (2^-1075 rounds to
+    # 0 at gamma = 2), whose delta the coil walk refuses too
+    assert main(["coil", "eval", "--gamma", gamma, "--X", target]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: coil eval (")
+    assert "underflow:" in err and err.count("\n") == 1
 
 
 def test_plot_data_non_finite_is_one_failure_line(tmp_path: Path):

@@ -136,6 +136,25 @@ class TestTravelDistance:
             assert d2 == pytest.approx(g * g * d1, rel=1e-9)
 
 
+def test_closed_form_and_walk_refuse_alike():
+    # gamma = 1 + 10^U(-14, 1) and |X| = 10^U(-323.5, 307.5) with a random
+    # sign: the closed form answers a finite delta exactly where the walk
+    # does, and both refuse bracket indices past 2^53 and paths that leave
+    # from a subnormal turning point
+    def answers(solve) -> bool:
+        try:
+            return math.isfinite(solve())
+        except (NumericalError, OverflowError):
+            return False
+
+    u = uniform_block(2021, 0, 60_000).tolist()
+    for j in range(0, len(u), 3):
+        g = 1.0 + 10.0 ** (-14.0 + 15.0 * u[j])
+        x = math.copysign(10.0 ** (-323.5 + 631.0 * u[j + 1]), u[j + 2] - 0.5)
+        assert (answers(lambda: travel_distance(Coil(g), x).delta)
+                == answers(lambda: coil_marching_distance(g, x, WALK_CFG))), (g, x)
+
+
 class TestWorstCaseRatio:
     def test_optimum_value(self):
         assert worst_case_ratio(Coil(2.0)) == 9.0
@@ -416,8 +435,8 @@ def test_derivative_root_certificate(monkeypatch):
     # digits of the CLI's gamma lines
     solved = []
 
-    def recording_find_root(f, bracket, tol):
-        report = find_root(f, bracket, tol=tol)
+    def recording_find_root(f, bracket):
+        report = find_root(f, bracket)
         solved.append((f, report))
         return report
 

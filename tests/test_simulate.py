@@ -387,7 +387,7 @@ class TestCoilWalkSample:
     def test_blocks_match_one_whole_array(self, n):
         # the blocked sampler gives every field of one walk over all the draws
         for gamma, x0, seed in ((2.0, 1.7, 5), (1.05, 1e-200, 8)):
-            draws = uniform_block(seed, 0, n, -x0, x0)
+            draws = uniform_block(seed, 0, n) * (x0 + x0) - x0
             draws[draws == 0.0] = x0
             whole = summarize(coil_marching_distance(gamma, draws, CFG) / np.abs(draws))
             assert coil_walk_sample(gamma, x0, SimConfig(seed=seed, samples=n)) == whole
@@ -423,7 +423,7 @@ class TestMixedStrategySample:
     def test_blocks_match_one_whole_array(self, n):
         # the blocked sampler gives every field of one whole-array sample
         for gamma, x, seed in ((2.0, 1.0, 5), (3.591121476669, 1e-150, 8)):
-            whole = summarize(bracket_ratio(gamma, x, uniform_block(seed, 0, n, 0.0, 2.0)))
+            whole = summarize(bracket_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n)))
             assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == whole
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shoreline.numerics import integrate, uniform_block
+from shoreline import spiral_geometry
+from shoreline.numerics import find_root, integrate, uniform_block
 from shoreline.spiral_geometry import (Spiral, TangentContact, arclength, contact_distance,
                                        second_contact, tangent_contact)
 
@@ -116,7 +117,7 @@ class TestSecondContact:
         assert arclength(k, c.theta1) == pytest.approx(13.8111351795, abs=1e-7)
 
     def test_uniqueness_by_scan(self):
-        for k in uniform_block(5, 0, 5, 0.1, 2.0).tolist():
+        for k in (0.1 + (2.0 - 0.1) * uniform_block(5, 0, 5)).tolist():
             c = second_contact(Spiral(k, 1.0))
             grid = np.linspace(c.theta0 + 1e-6, c.theta0 + TWO_PI, 200_001)
             vals = np.exp(k * grid) * np.cos(grid - c.omega0) - 1.0
@@ -134,6 +135,41 @@ class TestSecondContact:
     def test_contact_angles_validation(self):
         with pytest.raises(ValueError, match="out of order"):
             TangentContact(theta0=1.0, omega0=2.0, theta1=3.0)
+
+
+# 200 log-spaced kappa over [1e-3, 5], the range of the kernel checks below
+KAPPA_GRID = np.geomspace(1e-3, 5.0, 200).tolist()
+
+
+class TestSecondContactKernel:
+    def test_few_evaluations(self, monkeypatch):
+        # Brent's steps pin theta1 in at most 12 evaluations past the two
+        # bracket ends above kappa = 2e-3; below it the root sits close to the
+        # bracket's right end, where the residual bends sharply, and the first
+        # steps fall back to bisection, so some kappa there take 13
+        reports = []
+
+        def recording_find_root(f, bracket):
+            reports.append(find_root(f, bracket))
+            return reports[-1]
+
+        monkeypatch.setattr(spiral_geometry, "find_root", recording_find_root)
+        for k in KAPPA_GRID:
+            second_contact(Spiral(k))
+            assert reports[-1].converged
+            assert reports[-1].iterations <= (12 if k >= 2e-3 else 13), k
+
+    def test_theta1_within_three_ulps_of_a_sign_change(self):
+        # contact_distance changes sign (or is 0) between two adjacent
+        # doubles no more than 3 ulps from theta1
+        for k in KAPPA_GRID:
+            c = second_contact(Spiral(k))
+            below, above = [c.theta1], [c.theta1]
+            for _ in range(3):
+                below.append(math.nextafter(below[-1], -math.inf))
+                above.append(math.nextafter(above[-1], math.inf))
+            d = [contact_distance(k, c.omega0, th) for th in below[::-1] + above[1:]]
+            assert any(a <= 0.0 <= b for a, b in zip(d, d[1:])), k
 
 
 class TestScaleTheta1:

@@ -65,7 +65,7 @@ class TestMinmaxSystem:
 
     def test_constraint_residual_vanishes_off_optimum(self):
         # the second equation holds along the whole contact curve
-        for k in uniform_block(101, 0, 200, 0.05, 1.5).tolist():
+        for k in (0.05 + (1.5 - 0.05) * uniform_block(101, 0, 200)).tolist():
             _, r2 = minmax_system_residuals(angles_for(k))
             assert abs(r2) < 1e-10
 
@@ -101,7 +101,7 @@ class TestMinmeanObjective:
         assert minmean_objective(0.3732051316) == pytest.approx(7.0321857865, abs=1e-7)
 
     def test_two_closed_forms_agree(self):
-        for k in uniform_block(55, 0, 30, 0.08, 1.8).tolist():
+        for k in (0.08 + (1.8 - 0.08) * uniform_block(55, 0, 30)).tolist():
             pair = angles_for(k)
             a, b = pair.alpha, pair.beta
             u, v = 1.0 / math.cos(a), 1.0 / math.cos(b)
@@ -220,7 +220,7 @@ class TestErroneousObjective:
         assert minmax_objective(report.root_or_argmin) == pytest.approx(13.827, abs=1e-3)
 
     def test_ratio_to_true_objective(self):
-        for k in uniform_block(13, 0, 20, 0.05, 2.0).tolist():
+        for k in (0.05 + (2.0 - 0.05) * uniform_block(13, 0, 20)).tolist():
             ratio = minmax_objective(k) / erroneous_objective(k)
             assert ratio == pytest.approx(math.sqrt(1.0 + k * k), rel=1e-12)
 
@@ -269,6 +269,17 @@ class TestDerivativeRoute:
         contact = second_contact(Spiral(opt.kappa))
         assert opt.beta == contact.theta0 + TWO_PI - opt.alpha - contact.theta1
 
+    @pytest.mark.parametrize("minimize, reference, ulps", [
+        (minimize_minmax, golden.MINMAX_KAPPA_REF, 2),
+        (minimize_minmean, golden.MINMEAN_KAPPA_REF, 5)])
+    def test_ulps_from_reference(self, minimize, reference, ulps):
+        # Brent's steps reach the last bits of each root in a few iterations;
+        # the min-mean slope rounds to 0.0 or flips sign several times within
+        # 5 ulps below its reference, so no kernel can pin that root closer
+        opt = minimize()
+        assert abs(opt.kappa - reference) <= ulps * math.ulp(reference)
+        assert opt.report.converged and opt.report.iterations <= 15
+
     @pytest.mark.parametrize("minimize, slope, objective, reference", SLOPES)
     def test_certificate(self, minimize, slope, objective, reference):
         # the derivative changes sign across kappa* -+ 1e-12, and both ends
@@ -285,7 +296,7 @@ class TestDerivativeRoute:
         # against a central difference of ln(objective), whose error at
         # h = 1e-6 is a few 1e-10
         h = 1e-6
-        for k in uniform_block(31, 0, 20, 0.08, 1.8).tolist():
+        for k in (0.08 + (1.8 - 0.08) * uniform_block(31, 0, 20)).tolist():
             fd = (math.log(objective(k + h)) - math.log(objective(k - h))) / (2.0 * h)
             assert slope(k, second_contact(Spiral(k))) == pytest.approx(fd, abs=1e-8)
 
