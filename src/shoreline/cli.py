@@ -31,7 +31,7 @@ import numpy as np
 from . import checks, golden
 from .coil import (Coil, average_ratio, mixed_expected_ratio, optimal_minmax_coil,
                    optimal_minmean_coil, optimal_mixed, travel_distance)
-from .numerics import NumericalError
+from .numerics import NumericalError, _check_positive
 from .simulate import (SimConfig, coil_walk_sample, mixed_strategy_sample,
                        monte_carlo_mean_arclength)
 from .spiral_geometry import Spiral, contact_at, second_contact
@@ -101,8 +101,7 @@ def emit(record: OutputRecord, fmt: str) -> str:
 
 def _cmd_spiral(args: argparse.Namespace) -> OutputRecord:
     R = args.R
-    if not (math.isfinite(R) and R > 0.0):
-        raise ValueError("--R must be a finite positive distance")
+    _check_positive("R", R)  # in minmax and minmean R only scales lengths
     rec = OutputRecord(command=f"spiral {args.mode}", parameters={"R": R})
     if args.mode == "eval":
         if args.kappa is None:
@@ -166,8 +165,6 @@ def _cmd_coil(args: argparse.Namespace) -> OutputRecord:
     else:
         if args.gamma is None or args.X is None:
             raise ValueError("coil eval requires --gamma and --X")
-        if not (math.isfinite(args.X) and args.X != 0.0):
-            raise ValueError("--X must be a finite nonzero target")
         coil = Coil(args.gamma)
         hit = travel_distance(coil, args.X)
         rec.parameters = {"gamma": args.gamma, "X": args.X}
@@ -194,8 +191,6 @@ def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
         if args.gamma is None:
             raise ValueError(f"simulate {args.target} requires --gamma")
         x0 = 1.0 if args.X is None else args.X
-        if not (math.isfinite(x0) and x0 > 0.0):
-            raise ValueError("--X must be a finite positive target")
         rec.parameters.update(gamma=args.gamma, X=x0)
         if args.target == "coil":
             stats = coil_walk_sample(args.gamma, x0, cfg)
@@ -238,8 +233,6 @@ def _cmd_plot_data(args: argparse.Namespace) -> str:
     elif args.figure == "I":
         if args.gamma is None:
             raise ValueError("plot-data I requires --gamma")
-        if lo <= 0.0:
-            raise ValueError("the normalized average needs X > 0")
         coil = Coil(args.gamma)
         rows = [(float(x), average_ratio(coil, float(x))) for x in grid]
         header = "X,I"

@@ -18,7 +18,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .numerics import Bracket, NumericalError, find_root, lambert_w0
+from .numerics import Bracket, NumericalError, _check_positive, find_root, lambert_w0
 
 __all__ = [
     "Coil",
@@ -144,9 +144,11 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
 
 
 def _target_bracket(coil: Coil, target: float) -> Tuple[int, float, float]:
-    if target == 0.0:
-        raise ValueError("target at origin")
+    """The bracket of a signed target, under the one signed-target rule:
+    finite and nonzero (NaN compares False)."""
     g, xa = coil.gamma, abs(target)
+    if not 0.0 < xa < math.inf:
+        raise ValueError(f"X must be finite and nonzero (off the origin), not {target!r}")
     return _bracket(g, xa, _turn_offset(target), math.log(xa) / (2.0 * math.log(g)))
 
 
@@ -228,8 +230,7 @@ def average_ratio(coil: Coil, x: float) -> float:
     over [-x, -gamma^(2j-1)], a negative value, subtracted below,
     (-x + gamma^(2j-1)) - 2*gamma^(2j+1)/(gamma-1) * (ln x - (2j-1) ln gamma).
     """
-    if x <= 0.0:
-        raise ValueError("require x > 0")
+    _check_positive("X", x)
     g = coil.gamma
     lg, lx = math.log(g), math.log(x)
     r = lx / (2.0 * lg)

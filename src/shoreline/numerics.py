@@ -36,6 +36,13 @@ class NumericalError(RuntimeError):
     """An iterative kernel failed: no convergence or a non-finite evaluation."""
 
 
+def _check_positive(name: str, value: float) -> None:
+    """The one rule for a positive parameter (kappa, R, a positive target X,
+    march_step): finite and > 0 (NaN compares False)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, not {value!r}")
+
+
 @dataclass(frozen=True)
 class Bracket:
     """A finite interval [lo, hi] with lo < hi."""

@@ -42,14 +42,16 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .coil import _check_gamma, bracket_ratio
-from .numerics import Bracket, NumericalError, _golden_section, find_root, uniform_block
-from .spiral_geometry import Spiral, _check_kappa, arclength, contact_distance, tangent_contact
+from .numerics import (Bracket, NumericalError, _check_positive, _golden_section, find_root,
+                       uniform_block)
+from .spiral_geometry import Spiral, arclength, contact_distance, tangent_contact
 
 __all__ = [
     "SimConfig",
@@ -93,18 +95,20 @@ class SimConfig:
     segment-exact).  `find_root` refines each crossing to a bracket half-width
     of 2*eps*|theta| regardless of the march step; the step only controls
     how finely crossings are scouted, near-tangent cases being caught by the
-    grazing band.  The Monte Carlo drivers do not read it.
-    """
+    grazing band.  The Monte Carlo drivers do not read it.  ``seed`` and
+    ``samples`` (>= 1) are integers, read with ``operator.index``."""
 
     seed: int = 0
     samples: int = 100_000
     march_step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.samples <= 0:
-            raise ValueError("samples must be positive")
-        if not (math.isfinite(self.march_step) and self.march_step > 0.0):
-            raise ValueError("march_step must be positive")
+        if isinstance(self.seed, bool) or isinstance(self.samples, bool):
+            raise TypeError("seed and samples must be integers, not bool")
+        operator.index(self.seed)  # a float, even 2.0, is a TypeError
+        if operator.index(self.samples) < 1:
+            raise ValueError(f"samples must be >= 1, not {self.samples!r}")
+        _check_positive("march_step", self.march_step)
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,7 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
 
     Returns (theta_hit, arclength to theta_hit).
     """
-    _check_kappa(kappa)
+    _check_positive("kappa", kappa)
     distance = functools.partial(contact_distance, kappa, omega)
 
     def contact(lo: float, hi: float) -> Tuple[float, float]:
@@ -313,7 +317,7 @@ def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     else bisected there.  An arclength beyond the float range is a
     NumericalError.
     """
-    _check_kappa(kappa)
+    _check_positive("kappa", kappa)
     table = _inverse_table(kappa)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
 
@@ -377,6 +381,7 @@ def coil_walk_sample(gamma: float, x0: float, cfg: SimConfig) -> SampleStats:
     """Sampled travel ratio delta(X)/|X| of the coil walk over targets X drawn
     uniformly from [-x0, x0); a draw at the origin, of measure zero, is moved
     to x0."""
+    _check_positive("X", x0)
     width = 2.0 * x0
 
     def measure(u: np.ndarray) -> np.ndarray:
@@ -402,8 +407,7 @@ def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats
     delta = x + 2*gamma^(2i+2+H)/(gamma-1).
     """
     _check_gamma(gamma)
-    if x <= 0.0:
-        raise ValueError("require a positive target")
+    _check_positive("X", x)
     return _sample(cfg, lambda u: bracket_ratio(gamma, x, 2.0 * u))
 
 

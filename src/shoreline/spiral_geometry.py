@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .numerics import Bracket, NumericalError, find_root
+from .numerics import Bracket, NumericalError, _check_positive, find_root
 
 __all__ = [
     "Spiral",
@@ -25,24 +25,17 @@ __all__ = [
 ]
 
 
-def _check_kappa(kappa: float) -> None:
-    """The one rule for a growth rate: finite and > 0 (NaN compares False)."""
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and > 0, not {kappa!r}")
-
-
 @dataclass(frozen=True)
 class Spiral:
-    """Growth rate ``kappa`` (> 0) and shoreline distance ``radius`` (> 0).
-    It holds the one kappa rule, `_check_kappa`, shared by raw-kappa callers."""
+    """Growth rate ``kappa`` and shoreline distance ``radius`` R, each read by
+    the one positive rule `_check_positive`, as every raw-kappa caller does."""
 
     kappa: float
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_kappa(self.kappa)
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError("spiral requires radius > 0")
+        _check_positive("kappa", self.kappa)
+        _check_positive("R", self.radius)
 
 
 @dataclass(frozen=True)
@@ -124,5 +117,5 @@ def contact_at(spiral: Spiral, unit_theta1: float) -> TangentContact:
 def arclength(kappa: float, Theta: float) -> float:
     """Arclength of r = e^(kappa*theta) from theta = -infinity up to ``Theta``:
     sqrt(1 + kappa^2) / kappa * e^(kappa*Theta)."""
-    _check_kappa(kappa)
+    _check_positive("kappa", kappa)
     return math.sqrt(1.0 + kappa * kappa) / kappa * math.exp(kappa * Theta)

@@ -66,7 +66,7 @@ class TestSpiralCommands:
         for mode in (["minmax"], ["minmean"], ["eval", "--kappa", "0.5"]):
             assert main(["spiral", *mode, f"--R={radius}"]) == 2
             out, err = capsys.readouterr()
-            assert out == "" and "--R" in err
+            assert out == "" and err.startswith("error: R must be finite")
 
 
 class TestCoilCommands:
@@ -116,7 +116,7 @@ class TestCoilCommands:
     def test_eval_invalid_target(self, target, capsys):
         assert main(["coil", "eval", "--gamma", "2", f"--X={target}"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "--X" in err
+        assert out == "" and err.startswith("error: X must be finite")
 
 
 class TestSimulateCommands:
@@ -146,7 +146,7 @@ class TestSimulateCommands:
     def test_invalid_target(self, target, x, capsys):
         assert main(["simulate", target, "--gamma", "2", f"--X={x}", "-n", "10"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "--X" in err
+        assert out == "" and err.startswith("error: X must be finite")
 
     def test_march_step_option_is_gone(self, capsys):
         # the Monte Carlo spiral run bisects without a march
@@ -398,14 +398,30 @@ GAMMA_COMMANDS = [["coil", "eval", "--X", "3"], ["simulate", "coil", "-n", "10"]
                   ["plot-data", "I", "--range", "1:4"]]
 
 
-@pytest.mark.parametrize("argv, flag, value", [
-    pytest.param(cmd, flag, v, id=f"{cmd[0]}-{cmd[1]}-{v}")
-    for commands, flag, edge in ((KAPPA_COMMANDS, "--kappa", "0"),
-                                 (GAMMA_COMMANDS, "--gamma", "1"))
-    for cmd in commands for v in ("nan", "inf", "-inf", edge)])
-def test_parameter_outside_domain_is_usage_error(argv, flag, value, tmp_path, capsys):
-    # every command reads the one rule for kappa (finite, > 0) or gamma
-    # (finite, > 1): one error line, no numpy warning and no file written
+R_COMMANDS = [["spiral", "minmax"], ["spiral", "minmean"], ["spiral", "eval", "--kappa", "0.5"]]
+POSITIVE_X_COMMANDS = [["simulate", "coil", "--gamma", "2", "-n", "10"],
+                       ["simulate", "mixed", "--gamma", "2", "-n", "10"]]
+# (commands, flag, the rule's name in the error line, id prefix, values
+# outside the rule's domain): kappa and R finite and > 0, gamma finite and
+# > 1, a signed X finite and nonzero, a sampled X or an averaged radius
+# finite and > 0.
+DOMAIN_CASES = [
+    (KAPPA_COMMANDS, "--kappa", "kappa", "", ("nan", "inf", "-inf", "0")),
+    (GAMMA_COMMANDS, "--gamma", "gamma", "", ("nan", "inf", "-inf", "1")),
+    (R_COMMANDS, "--R", "R", "R=", ("nan", "inf", "-inf", "0", "-2")),
+    ([["coil", "eval", "--gamma", "2"]], "--X", "X", "X=", ("nan", "inf", "-inf", "0")),
+    (POSITIVE_X_COMMANDS, "--X", "X", "X=", ("nan", "inf", "-inf", "0", "-1")),
+    ([["plot-data", "I", "--gamma", "2"]], "--range", "X", "range=", ("-1:1", "0:1")),
+]
+
+
+@pytest.mark.parametrize("argv, flag, name, value", [
+    pytest.param(cmd, flag, name, v, id=f"{cmd[0]}-{cmd[1]}-{prefix}{v}")
+    for commands, flag, name, prefix, values in DOMAIN_CASES
+    for cmd in commands for v in values])
+def test_parameter_outside_domain_is_usage_error(argv, flag, name, value, tmp_path, capsys):
+    # every command reads the library's one rule for its parameter: one
+    # error line, no numpy warning and no file written
     out_file = tmp_path / "out.csv"
     if argv[0] == "plot-data":
         argv = argv + ["--out", str(out_file)]
@@ -413,16 +429,15 @@ def test_parameter_outside_domain_is_usage_error(argv, flag, value, tmp_path, ca
         warnings.simplefilter("always")
         assert main(argv + [f"{flag}={value}"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {flag.lstrip('-')} must be finite")
+    assert out == "" and err.startswith(f"error: {name} must be finite")
     assert err.count("\n") == 1 and not caught and not out_file.exists()
 
 
 class TestPlotData:
     def test_delta_ratio_bounds(self, tmp_path: Path):
         out = tmp_path / "ratio.csv"
-        cp = run_cli("plot-data", "delta-ratio", "--gamma", "2",
-                     "--range", "0.5:8", "--points", "400", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
+        assert main(["plot-data", "delta-ratio", "--gamma", "2",
+                     "--range", "0.5:8", "--points", "400", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "X,ratio"
         ratios = [float(row.split(",")[1]) for row in lines[1:]]
@@ -430,9 +445,8 @@ class TestPlotData:
 
     def test_average_ratio_bounds(self, tmp_path: Path):
         out = tmp_path / "avg.csv"
-        cp = run_cli("plot-data", "I", "--gamma", "2",
-                     "--range", "1:4", "--points", "300", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
+        assert main(["plot-data", "I", "--gamma", "2",
+                     "--range", "1:4", "--points", "300", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "X,I"
         vals = [float(row.split(",")[1]) for row in lines[1:]]
@@ -441,9 +455,8 @@ class TestPlotData:
     def test_spiral_path_radii_increase(self, tmp_path: Path):
         out = tmp_path / "path.csv"
         theta1 = 4.962789055213278
-        cp = run_cli("plot-data", "spiral-path", "--kappa", "0.2124695594",
-                     f"--range=-10:{theta1}", "--points", "500", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
+        assert main(["plot-data", "spiral-path", "--kappa", "0.2124695594",
+                     f"--range=-10:{theta1}", "--points", "500", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "theta,x,y"
         radii = [math.hypot(float(r.split(",")[1]), float(r.split(",")[2]))
@@ -453,14 +466,13 @@ class TestPlotData:
     def test_csv_bit_identical(self, tmp_path: Path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            run_cli("plot-data", "delta-ratio", "--gamma", "2",
-                    "--range", "0.5:8", "--points", "128", "--out", str(out))
+            main(["plot-data", "delta-ratio", "--gamma", "2",
+                  "--range", "0.5:8", "--points", "128", "--out", str(out)])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_unwritable_path(self, tmp_path: Path):
-        cp = run_cli("plot-data", "I", "--gamma", "2", "--range", "1:4",
-                     "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv"))
-        assert cp.returncode == 1
+        assert main(["plot-data", "I", "--gamma", "2", "--range", "1:4",
+                     "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv")]) == 1
 
     def test_bad_range(self, tmp_path: Path):
         # a reversed or non-finite range is a usage error; run in a

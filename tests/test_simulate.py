@@ -8,8 +8,8 @@ import pytest
 
 from shoreline import golden, simulate
 from shoreline.cli import main
-from shoreline.coil import (Coil, MixedStrategy, bracket_ratio, mixed_expected_ratio,
-                            travel_distance, worst_case_ratio)
+from shoreline.coil import (Coil, MixedStrategy, average_ratio, bracket_index, bracket_ratio,
+                            mixed_expected_ratio, travel_distance, worst_case_ratio)
 from shoreline.numerics import NumericalError, uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
                                 _bisect_contacts, _first_contacts, _inverse_table,
@@ -541,10 +541,16 @@ class TestSampleStats:
             SimConfig(seed=1, samples=0)
         with pytest.raises(ValueError):
             SimConfig(seed=1, samples=10, march_step=-0.1)
+        # samples and seed are integers: no float, even an integral one, and no bool
+        for fields in ({"samples": 1.5}, {"samples": 2.0}, {"samples": True},
+                       {"seed": 1.5}, {"seed": 2.0}, {"seed": False}):
+            with pytest.raises(TypeError):
+                SimConfig(**fields)
+        assert SimConfig(seed=np.int64(3), samples=np.int32(4)).samples == 4
 
 
-# Each function that takes a raw kappa or gamma, with the boundary value of
-# its parameter (kappa = 0, gamma = 1).
+# Each function that takes a raw kappa, gamma, R, X or march step, with the
+# boundary value of its parameter (gamma = 1, every other one 0).
 RAW_PARAMETER_CALLS = {
     "arclength": (lambda k: arclength(k, 1.0), 0.0),
     "spiral_first_contact": (lambda k: spiral_first_contact(k, 0.5, MC_CFG), 0.0),
@@ -556,6 +562,14 @@ RAW_PARAMETER_CALLS = {
     "mixed_expected_ratio": (mixed_expected_ratio, 1.0),
     "MixedStrategy": (lambda g: MixedStrategy(gamma=g), 1.0),
     "coil_walk_sample": (lambda g: coil_walk_sample(g, 3.0, SimConfig(samples=10)), 1.0),
+    "Spiral.R": (lambda r: Spiral(0.5, r), 0.0),
+    "travel_distance": (lambda x: travel_distance(Coil(2.0), x), 0.0),
+    "bracket_index": (lambda x: bracket_index(Coil(2.0), x), 0.0),
+    "average_ratio": (lambda x: average_ratio(Coil(2.0), x), 0.0),
+    "mixed_strategy_sample.x":
+        (lambda x: mixed_strategy_sample(2.0, x, SimConfig(samples=10)), 0.0),
+    "coil_walk_sample.x0": (lambda x: coil_walk_sample(2.0, x, SimConfig(samples=10)), 0.0),
+    "SimConfig.march_step": (lambda h: SimConfig(march_step=h), 0.0),
 }
 
 
