@@ -27,6 +27,17 @@ def _json_results(capsys, *argv: str) -> dict:
     return json.loads(capsys.readouterr().out)["results"]
 
 
+def _assert_usage_error(capsys, argv: list, name: str) -> None:
+    # the library's one rule for `name` refused the value: exit 2, one
+    # error line and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {name} must be finite")
+    assert err.count("\n") == 1 and not caught
+
+
 class TestSpiralCommands:
     def test_minmax_text(self, capsys):
         assert main(["spiral", "minmax"]) == 0
@@ -61,12 +72,10 @@ class TestSpiralCommands:
         cp = run_cli("spiral", "eval", "--kappa", "-0.3")
         assert cp.returncode == 2
 
-    @pytest.mark.parametrize("radius", ["-2", "0", "nan", "inf"])
+    @pytest.mark.parametrize("radius", ["-2", "0", "nan", "inf", "-inf"])
     def test_invalid_radius(self, radius, capsys):
         for mode in (["minmax"], ["minmean"], ["eval", "--kappa", "0.5"]):
-            assert main(["spiral", *mode, f"--R={radius}"]) == 2
-            out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: R must be finite")
+            _assert_usage_error(capsys, ["spiral", *mode, f"--R={radius}"], "R")
 
 
 class TestCoilCommands:
@@ -114,9 +123,7 @@ class TestCoilCommands:
 
     @pytest.mark.parametrize("target", ["inf", "-inf", "nan", "0"])
     def test_eval_invalid_target(self, target, capsys):
-        assert main(["coil", "eval", "--gamma", "2", f"--X={target}"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: X must be finite")
+        _assert_usage_error(capsys, ["coil", "eval", "--gamma", "2", f"--X={target}"], "X")
 
 
 class TestSimulateCommands:
@@ -144,9 +151,8 @@ class TestSimulateCommands:
     @pytest.mark.parametrize("target", ["coil", "mixed"])
     @pytest.mark.parametrize("x", ["inf", "-inf", "nan", "-1", "0"])
     def test_invalid_target(self, target, x, capsys):
-        assert main(["simulate", target, "--gamma", "2", f"--X={x}", "-n", "10"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: X must be finite")
+        _assert_usage_error(capsys, ["simulate", target, "--gamma", "2", f"--X={x}", "-n", "10"],
+                            "X")
 
     def test_march_step_option_is_gone(self, capsys):
         # the Monte Carlo spiral run bisects without a march
@@ -396,21 +402,12 @@ GAMMA_COMMANDS = [["coil", "eval", "--X", "3"], ["simulate", "coil", "-n", "10"]
                   ["simulate", "mixed", "-n", "10"],
                   ["plot-data", "delta-ratio", "--range", "0.5:8"],
                   ["plot-data", "I", "--range", "1:4"]]
-
-
-R_COMMANDS = [["spiral", "minmax"], ["spiral", "minmean"], ["spiral", "eval", "--kappa", "0.5"]]
-POSITIVE_X_COMMANDS = [["simulate", "coil", "--gamma", "2", "-n", "10"],
-                       ["simulate", "mixed", "--gamma", "2", "-n", "10"]]
 # (commands, flag, the rule's name in the error line, id prefix, values
-# outside the rule's domain): kappa and R finite and > 0, gamma finite and
-# > 1, a signed X finite and nonzero, a sampled X or an averaged radius
-# finite and > 0.
+# outside the rule's domain): kappa finite and > 0, gamma finite and > 1,
+# an averaged radius finite and > 0.  R and X have their own tests above.
 DOMAIN_CASES = [
     (KAPPA_COMMANDS, "--kappa", "kappa", "", ("nan", "inf", "-inf", "0")),
     (GAMMA_COMMANDS, "--gamma", "gamma", "", ("nan", "inf", "-inf", "1")),
-    (R_COMMANDS, "--R", "R", "R=", ("nan", "inf", "-inf", "0", "-2")),
-    ([["coil", "eval", "--gamma", "2"]], "--X", "X", "X=", ("nan", "inf", "-inf", "0")),
-    (POSITIVE_X_COMMANDS, "--X", "X", "X=", ("nan", "inf", "-inf", "0", "-1")),
     ([["plot-data", "I", "--gamma", "2"]], "--range", "X", "range=", ("-1:1", "0:1")),
 ]
 
@@ -420,17 +417,13 @@ DOMAIN_CASES = [
     for commands, flag, name, prefix, values in DOMAIN_CASES
     for cmd in commands for v in values])
 def test_parameter_outside_domain_is_usage_error(argv, flag, name, value, tmp_path, capsys):
-    # every command reads the library's one rule for its parameter: one
-    # error line, no numpy warning and no file written
+    # every command reads the library's one rule for its parameter, and
+    # writes no file
     out_file = tmp_path / "out.csv"
     if argv[0] == "plot-data":
         argv = argv + ["--out", str(out_file)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(argv + [f"{flag}={value}"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {name} must be finite")
-    assert err.count("\n") == 1 and not caught and not out_file.exists()
+    _assert_usage_error(capsys, argv + [f"{flag}={value}"], name)
+    assert not out_file.exists()
 
 
 class TestPlotData:
