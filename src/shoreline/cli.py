@@ -345,6 +345,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         detail = "result beyond the float range" if isinstance(exc, OverflowError) else exc
         print(f"numerical failure: {_invocation(args)}: {detail}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy names the array it cannot allocate, such as 10^14 samples
+        detail = str(exc) or "out of memory"
+        print(f"memory failure: {_invocation(args)}: {detail}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1

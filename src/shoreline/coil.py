@@ -176,23 +176,44 @@ def travel_distance(coil: Coil, target: float) -> CoilHit:
     return CoilHit(target=target, index=i, delta=abs(target) + 2.0 * hi / (coil.gamma - 1.0))
 
 
-def bracket_ratio(gamma: float, magnitude, offset):
-    """delta/|X| = 1 + 2*gamma^(2i+2+c)/((gamma-1)*|X|) for targets of
-    magnitude ``magnitude`` whose turning points sit at gamma^(k+c), c =
-    ``offset``: 0 for positive targets, -1 for negative ones, the phase H
-    of the mixed strategy.  Vectorized over both arguments.
+def _turning_points(gamma: float, exponents: np.ndarray) -> np.ndarray:
+    """gamma ** n for each integer n, by Python's ``**`` (libm pow, as in
+    `_bracket`); a power past the float range reads inf."""
+    powers = []
+    for n in exponents.tolist():
+        try:
+            powers.append(gamma ** n)
+        except OverflowError:
+            powers.append(math.inf)
+    return np.array(powers)
 
-    The vector form of ``bracket_index`` and ``travel_distance``: the
-    ceiling guess is nudged by one step each way, which suffices because
-    it is off by at most one.
+
+def bracket_ratio(gamma: float, magnitude, offset: int):
+    """delta/|X| = 1 + 2*gamma^(2i+2+c)/((gamma-1)*|X|) for targets of
+    magnitude ``magnitude`` (an array or a float) whose turning points sit
+    at gamma^(2i+c), with the integer c = ``offset``: 0 for positive
+    targets, -1 for negative ones.
+
+    The vector form of `bracket_index`, bit for bit that formula with its
+    i, for finite magnitudes > 0 whose turning points are normal doubles
+    and whose index guess ceil(ln|X|/(2 ln gamma) - 1 - c/2) is off by at
+    most one, true while |ln|X|/ln(gamma)| < 2^48.  Each turning point is a
+    libm power, computed once per call in a table over the guesses
+    [min - 1, max + 2], or, when that span is longer than the rows, around
+    each distinct guess.  The upper power gamma^(2i+2+c) is the first table
+    entry >= |X|, so the inequalities decide, as in `_bracket`.
     """
-    i = np.ceil(np.log(magnitude) / (2.0 * math.log(gamma)) - (1.0 + 0.5 * offset))
-    i = np.where(gamma ** (2.0 * i + offset) >= magnitude, i - 1.0, i)
-    hi = gamma ** (2.0 * i + 2.0 + offset)
-    up = hi < magnitude
-    if up.any():
-        hi = np.where(up, gamma ** (2.0 * (i + 1.0) + 2.0 + offset), hi)
-    return 1.0 + 2.0 * hi / ((gamma - 1.0) * magnitude)
+    magnitude = np.asarray(magnitude, dtype=float)
+    scale, shift = 0.5 / math.log(gamma), 1.0 + 0.5 * offset
+    lo = math.ceil(math.log(magnitude.min()) * scale - shift) - 1
+    hi = math.ceil(math.log(magnitude.max()) * scale - shift) + 2
+    if hi - lo < magnitude.size:
+        ks = np.arange(lo, hi + 1)
+    else:  # a few rows over a wide span
+        guess = np.ceil(np.log(magnitude) * scale - shift).astype(np.int64)
+        ks = np.unique(np.unique(guess)[:, None] + np.arange(-1, 3))
+    table = _turning_points(gamma, 2 * ks + offset)
+    return 1.0 + 2.0 * table[np.searchsorted(table, magnitude)] / ((gamma - 1.0) * magnitude)
 
 
 def worst_case_ratio(coil: Coil) -> float:
@@ -229,6 +250,7 @@ def average_ratio(coil: Coil, x: float) -> float:
     [gamma^(2i), x], (x - gamma^(2i)) + 2*gamma^(2i+2)/(gamma-1) * (ln x - 2i ln gamma);
     over [-x, -gamma^(2j-1)], a negative value, subtracted below,
     (-x + gamma^(2j-1)) - 2*gamma^(2j+1)/(gamma-1) * (ln x - (2j-1) ln gamma).
+    A sum that overflows, to inf or to inf - inf, is a NumericalError.
     """
     _check_positive("X", x)
     g = coil.gamma
@@ -241,7 +263,10 @@ def average_ratio(coil: Coil, x: float) -> float:
     whole_neg = pj0 + series * pj2
     partial_pos = (x - pi0) + (2.0 * pi2 / (g - 1.0)) * (lx - 2 * i * lg)
     partial_neg = (-x + pj0) - (2.0 * pj2 / (g - 1.0)) * (lx - (2 * j - 1) * lg)
-    return (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
+    ratio = (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
+    if not math.isfinite(ratio):
+        raise NumericalError(f"average ratio {ratio!r} at X = {x!r} is not finite")
+    return ratio
 
 
 def _ratio_min(g: float) -> float:

@@ -85,6 +85,11 @@ _BLOCK = 16384
 # the rows are bisected instead.
 _TABLE_CELLS = 4096
 
+# The inverse table's grid of t as fractions of [-pi/2, atan(kappa)]: the
+# equal steps and the points approaching -pi/2 geometrically, kappa-free.
+_FRACTION = np.sort(np.concatenate((np.linspace(0.0, 1.0, _TABLE_CELLS + 1),
+                                    np.geomspace(1e-17, 1.0, 256))))
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -184,13 +189,14 @@ def _inverse_table(kappa: float) -> _InverseTable:
 
     Level j solves H(t) = H_max - s_j^2, with H_max = H(atan(kappa)) =
     -kappa*omega0 and s_j = j*step.  Each level starts from `np.interp` on a
-    grid of t (uniform, plus points approaching -pi/2 geometrically, where t
-    falls fast as s grows at large kappa) and takes a few Newton steps, kept
-    inside [-pi/2, atan(kappa)]; dt/ds = -2s/H'(t), and -sqrt(2/(1 + kappa^2))
-    at the peak.  A level whose root lies closer to -pi/2 than a double
-    resolves stays at -pi/2, which is then the contact to rounding.  A kappa
-    whose tau*kappa^2 overflows is a NumericalError: the table's steps and
-    the arclength factor are not finite there."""
+    grid of t (`_FRACTION`: uniform, plus points approaching -pi/2
+    geometrically, where t falls fast as s grows at large kappa) and takes
+    a few Newton steps, kept inside [-pi/2, atan(kappa)]; dt/ds = -2s/H'(t),
+    and -sqrt(2/(1 + kappa^2)) at the peak.  A level whose root lies closer
+    to -pi/2 than a double resolves stays at -pi/2, which is then the
+    contact to rounding.  A kappa whose tau*kappa^2 overflows is a
+    NumericalError: the table's steps and the arclength factor are not
+    finite there."""
     if not math.isfinite(math.tau * kappa * kappa):
         raise NumericalError("tau*kappa^2 is beyond the float range")
     _, omega0 = tangent_contact(Spiral(kappa, 1.0))
@@ -198,9 +204,7 @@ def _inverse_table(kappa: float) -> _InverseTable:
     step = math.sqrt(math.tau * kappa) / _TABLE_CELLS
     s = step * np.arange(_TABLE_CELLS + 1)
     level = h_max - s * s
-    fraction = np.sort(np.concatenate((np.linspace(0.0, 1.0, _TABLE_CELLS + 1),
-                                       np.geomspace(1e-17, 1.0, 256))))
-    grid = -0.5 * math.pi + (top + 0.5 * math.pi) * fraction
+    grid = -0.5 * math.pi + (top + 0.5 * math.pi) * _FRACTION
     with np.errstate(divide="ignore", invalid="ignore"):
         grid_s = np.sqrt(np.maximum(h_max - kappa * grid - np.log(np.cos(grid)), 0.0))
         t = np.interp(s, grid_s[::-1], grid[::-1])
@@ -398,24 +402,40 @@ def coil_walk_sample(gamma: float, x0: float, cfg: SimConfig) -> SampleStats:
     return _sample(cfg, measure)
 
 
+def _mixed_ratio(gamma: float, x: float, phase: np.ndarray) -> np.ndarray:
+    """delta/x = 1 + 2*gamma^(2i+2+H)/((gamma-1)*x) for each phase H, with
+    gamma^(2i+H) < x <= gamma^(2i+2+H).  A continuous phase has no scalar
+    bracket rule to agree with, so the powers are numpy's: the ceiling guess
+    is nudged by one step each way, which suffices because it is off by at
+    most one."""
+    i = np.ceil(np.log(x) / (2.0 * math.log(gamma)) - (1.0 + 0.5 * phase))
+    i = np.where(gamma ** (2.0 * i + phase) >= x, i - 1.0, i)
+    hi = gamma ** (2.0 * i + 2.0 + phase)
+    up = hi < x
+    if up.any():
+        hi = np.where(up, gamma ** (2.0 * (i + 1.0) + 2.0 + phase), hi)
+    return 1.0 + 2.0 * hi / ((gamma - 1.0) * x)
+
+
 def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats:
     """Sampled travel ratio delta(x)/x of the phase-randomized coil.
 
     Each sample draws a phase H uniform on [0, 2), shifts every turning
     point to +-gamma^(k+H), brackets the (positive) target by
     gamma^(2i+H) < x <= gamma^(2i+2+H), and pays
-    delta = x + 2*gamma^(2i+2+H)/(gamma-1).
+    delta = x + 2*gamma^(2i+2+H)/(gamma-1) (`_mixed_ratio`).
     """
     _check_gamma(gamma)
     _check_positive("X", x)
-    return _sample(cfg, lambda u: bracket_ratio(gamma, x, 2.0 * u))
+    return _sample(cfg, lambda u: _mixed_ratio(gamma, x, 2.0 * u))
 
 
 def scan_worst_ratio(gamma: float, points: int) -> float:
     """Scanned maximum of delta(x)/|x| over a log-spaced grid of signed
     targets covering three periods, plus probes just above the jump points
     gamma^(2k) (positive side) and -gamma^(2k-1) (negative side) where the
-    supremum is approached."""
+    supremum is approached.  A grid end gamma^3 beyond the float range, or a
+    maximum that is not finite, is a NumericalError."""
     _check_gamma(gamma)
     if points < 100:
         raise ValueError("require points >= 100")
@@ -426,7 +446,12 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, exponents.size, _BLOCK):
             grid = gamma ** exponents[start:start + _BLOCK]
+            if not grid[-1] < math.inf:
+                raise NumericalError(f"scan grid at gamma {gamma!r} is beyond the float range")
             maxima += [bracket_ratio(gamma, grid, 0).max(), bracket_ratio(gamma, grid, -1).max()]
         maxima += [bracket_ratio(gamma, gamma ** (2.0 * ks) * (1.0 + 1e-9), 0).max(),
                    bracket_ratio(gamma, gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9), -1).max()]
-    return float(np.max(maxima))
+    worst = float(np.max(maxima))
+    if not math.isfinite(worst):
+        raise NumericalError(f"scanned worst ratio {worst!r} at gamma {gamma!r} is not finite")
+    return worst

@@ -351,7 +351,7 @@ def test_plot_data_non_finite_is_one_failure_line(tmp_path: Path):
                  "--points", "5", "--out", str(out), timeout=30.0)
     assert cp.returncode == 1 and cp.stdout == "" and "Warning" not in cp.stderr
     assert cp.stderr.startswith("numerical failure: plot-data I (")
-    assert cp.stderr.endswith("non-finite result: I\n") and cp.stderr.count("\n") == 1
+    assert cp.stderr.endswith("is not finite\n") and cp.stderr.count("\n") == 1
     assert not out.exists()
 
 
@@ -368,6 +368,17 @@ def test_mixed_overflow_is_one_failure_line(argv, capsys):
     out, err = capsys.readouterr()
     assert out == "" and not caught and "Warning" not in err
     assert err.startswith("numerical failure: simulate mixed (") and err.count("\n") == 1
+
+
+def test_unholdable_sample_count_is_one_failure_line(capsys):
+    # 10^14 samples need 728 TiB, more than a process can address, so numpy
+    # refuses the array without touching memory
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "mixed", "--gamma", "2", "-n", "100000000000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not caught
+    assert err.startswith("memory failure: simulate mixed (") and err.count("\n") == 1
 
 
 def test_parser_is_built_once_and_reused(capsys):

@@ -259,15 +259,17 @@ def _parent_travel_distance(g: float, target: float) -> CoilHit:
 
 
 def _same_outcome(new, old) -> bool:
-    """new() and old() return equal values (or both NaN), or raise the same
-    overflow or numerical failure."""
+    """new() and old() return equal values, or raise the same overflow or
+    numerical failure; an old NaN or inf average is now a NumericalError."""
     def outcome(f):
         try:
             return f()
         except (OverflowError, NumericalError) as exc:
             return type(exc)
     a, b = outcome(new), outcome(old)
-    return a == b or (a != a and b != b)
+    if isinstance(b, float) and not math.isfinite(b):
+        b = NumericalError
+    return a == b
 
 
 @pytest.mark.parametrize("g", [1.0 + 1e-9, 1.5, 2.0, 1.0 / lambert_w0(math.exp(-1.0)), 8.0, 1e6])

@@ -1,7 +1,6 @@
 import json
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -423,7 +422,7 @@ class TestMixedStrategySample:
     def test_blocks_match_one_whole_array(self, n):
         # the blocked sampler gives every field of one whole-array sample
         for gamma, x, seed in ((2.0, 1.0, 5), (3.591121476669, 1e-150, 8)):
-            whole = summarize(bracket_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n)))
+            whole = summarize(simulate._mixed_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n)))
             assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == whole
 
 
@@ -488,27 +487,28 @@ class TestScanWorstRatio:
         assert float(bracket_ratio(g, magnitudes, -1).max()) >= 9.0 - 1e-6
 
     def test_kernel_matches_scalar_rule(self):
-        # seeded signed targets X = +-gamma^u
-        u = iter(uniform_block(53, 0, 6000).tolist())
-        cases = []
-        for _ in range(2000):
-            g = 1.1 + 6.9 * next(u)
-            mag = g ** (-6.0 + 12.0 * next(u))
-            cases.append((g, mag if next(u) < 0.5 else -mag))
-        # exact turning points gamma^(2k) and -gamma^(2k-1) and the next double
-        # beyond each, where the nudge decides the bracket; only powers that
-        # are exact doubles, so both kernels see the same turning point
-        for g in (1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0):
-            for n in range(-30, 31):
-                turn = g ** n
-                if Fraction(turn) != Fraction(g) ** n:
-                    continue
-                for mag in (turn, math.nextafter(turn, math.inf)):
-                    cases.append((g, mag if n % 2 == 0 else -mag))
-        for g, x in cases:
-            want = travel_distance(Coil(g), x).delta / abs(x)
-            got = float(bracket_ratio(g, abs(x), 0 if x > 0 else -1))
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (g, x)
+        # the kernel gives 1 + 2*gamma^(2i+2+c)/((gamma-1)*|X|) bit for bit,
+        # with i from the scalar rule: at seeded magnitudes gamma^u, at libm's
+        # turning points gamma^(2k) and gamma^(2k-1) and the doubles beside
+        # each, where the bracket is decided, in one block per gamma and side,
+        # and in one block spanning the float range in a few rows
+        u = uniform_block(53, 0, 2400).tolist()
+        blocks = []
+        for g, v in zip(u[:200], u[200:]):
+            g = 1.01 + 8.0 * g
+            for c in (0, -1):
+                mags = [g ** (-6.0 + 12.0 * v)]
+                for k in range(-40, 40):
+                    turn = g ** (2 * k + c)
+                    mags += [math.nextafter(turn, 0.0), turn, math.nextafter(turn, math.inf)]
+                blocks.append((g, c, np.array(mags)))
+        blocks.append((1.01, 0, 10.0 ** np.linspace(-300.0, 300.0, 13)))
+        for g, c, mags in blocks:
+            got = bracket_ratio(g, mags, c)
+            for m, r in zip(mags.tolist(), got.tolist()):
+                i = bracket_index(Coil(g), m if c == 0 else -m)
+                assert r == 1.0 + 2.0 * g ** (2 * i + 2 + c) / ((g - 1.0) * m), (g, c, m)
+        assert float(bracket_ratio(2.0, 3.0, 0)) == 1.0 + 2.0 * 4.0 / 3.0
 
     def test_point_budget(self):
         with pytest.raises(ValueError):
@@ -580,3 +580,20 @@ def test_parameter_outside_domain_is_value_error(name, value):
     call, edge = RAW_PARAMETER_CALLS[name]
     with pytest.raises(ValueError, match="must be finite"):
         call(edge if value == "edge" else float(value))
+
+
+# Calls whose result would be inf or NaN, each a NumericalError instead.
+NON_FINITE_CALLS = {
+    "average_ratio-inf": lambda: average_ratio(Coil(1.000000001), 4e299),
+    "average_ratio-nan": lambda: average_ratio(Coil(1.0000000000004245), 1.2462580855985263e307),
+    "scan_worst_ratio-grid": lambda: scan_worst_ratio(1e200, 1000),  # gamma^3 overflows
+    "scan_worst_ratio-ratio": lambda: scan_worst_ratio(1e80, 1000),  # gamma^4 overflows
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_CALLS)
+def test_non_finite_result_is_numerical_failure(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="float range|not finite"):
+            NON_FINITE_CALLS[name]()
