@@ -122,22 +122,26 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
     a path that leaves from a subnormal turning point g^(2i+1+c) = lo*g,
     which has lost the digits of delta.  A nudge that leaves the power
     unchanged happens only among subnormals, so it stops there and meets the
-    second rule, instead of one of up to ~1e12 more nudges."""
+    second rule, instead of one of up to ~1e12 more nudges.  A power past the
+    float range is the walk's overflow, a NumericalError."""
     i = math.ceil(r - (1.0 + 0.5 * c))
     if not -2 ** 52 < i < 2 ** 52:  # |2i| < 2^53
         raise NumericalError("turning-point index beyond exact doubles")
-    lo = g ** (2 * i + c)
-    while lo >= xa:
-        i -= 1
-        lo, last = g ** (2 * i + c), lo
-        if lo == last:
-            break
-    hi = g ** (2 * i + 2 + c)
-    while hi < xa:
-        i += 1
-        lo, hi = hi, g ** (2 * i + 2 + c)
-        if hi == lo:
-            break
+    try:
+        lo = g ** (2 * i + c)
+        while lo >= xa:
+            i -= 1
+            lo, last = g ** (2 * i + c), lo
+            if lo == last:
+                break
+        hi = g ** (2 * i + 2 + c)
+        while hi < xa:
+            i += 1
+            lo, hi = hi, g ** (2 * i + 2 + c)
+            if hi == lo:
+                break
+    except OverflowError:
+        raise NumericalError("overflow: target beyond representable sweeps") from None
     if lo * g < 2.2250738585072014e-308:  # the smallest normal double
         raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
     return i, lo, hi

@@ -56,7 +56,6 @@ from .spiral_geometry import Spiral, arclength, contact_distance, tangent_contac
 __all__ = [
     "SimConfig",
     "SampleStats",
-    "summarize",
     "spiral_first_contact",
     "monte_carlo_mean_arclength",
     "coil_marching_distance",
@@ -131,15 +130,22 @@ class SampleStats:
             raise ValueError("inconsistent sample statistics")
 
 
-def summarize(values: np.ndarray) -> SampleStats:
-    """SampleStats of a 1-D array (standard error uses the n-1 denominator).
+def _summarize(values: np.ndarray) -> SampleStats:
+    """SampleStats of a 1-D array (standard error uses the n-1 denominator),
+    computed in place: ``values`` ends holding the squared deviations.
 
-    Raises NumericalError when a sample or a statistic is not finite."""
+    The steps are those ``values.std(ddof=1)`` runs on its own copy (the
+    mean, the deviations, their squares, one `np.add.reduce` to M2), so
+    se = sqrt(M2/(n-1))/sqrt(n) is numpy's bit for bit.  Raises
+    NumericalError when a sample or a statistic is not finite."""
     n = int(values.size)
+    lo, hi = float(values.min()), float(values.max())
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean())
-        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    lo, hi = float(values.min()), float(values.max())
+        np.subtract(values, mean, out=values)
+        np.multiply(values, values, out=values)
+        m2 = float(np.add.reduce(values))
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
     if not all(map(math.isfinite, (mean, se, lo, hi))):
         raise NumericalError("non-finite sample statistics")
     return SampleStats(mean=mean, std_error=se, n=n, min=lo, max=hi)
@@ -298,16 +304,17 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
 
 
 def _sample(cfg: SimConfig, measure: Callable[[np.ndarray], np.ndarray]) -> SampleStats:
-    """`summarize` of ``measure(u)`` over the stream values u at positions
+    """`_summarize` of ``measure(u)`` over the stream values u at positions
     0 .. cfg.samples - 1, _BLOCK at a time; each block is a fresh array that
-    ``measure`` may overwrite.  A non-finite value is left to `summarize` to
-    classify, without numpy warnings."""
+    ``measure`` may overwrite.  The one n-sized array is summarized in place.
+    A non-finite value is left to `_summarize` to classify, without numpy
+    warnings."""
     values = np.empty(cfg.samples)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, cfg.samples, _BLOCK):
             count = min(_BLOCK, cfg.samples - start)
             values[start:start + count] = measure(uniform_block(cfg.seed, start, count))
-    return summarize(values)
+    return _summarize(values)
 
 
 def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:

@@ -361,7 +361,7 @@ def test_plot_data_non_finite_is_one_failure_line(tmp_path: Path):
     ["--gamma", "1.0000001", "--X", "5e-324"],  # (gamma - 1)*X underflows to 0
 ])
 def test_mixed_overflow_is_one_failure_line(argv, capsys):
-    # the sampler's blocks run without numpy warnings; summarize classifies
+    # the sampler's blocks run without numpy warnings; _summarize classifies
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["simulate", "mixed", *argv, "-n", "10"]) == 1

@@ -144,7 +144,7 @@ def test_closed_form_and_walk_refuse_alike():
     def answers(solve) -> bool:
         try:
             return math.isfinite(solve())
-        except (NumericalError, OverflowError):
+        except NumericalError:
             return False
 
     u = uniform_block(2021, 0, 60_000).tolist()
@@ -153,6 +153,24 @@ def test_closed_form_and_walk_refuse_alike():
         x = math.copysign(10.0 ** (-323.5 + 631.0 * u[j + 1]), u[j + 2] - 0.5)
         assert (answers(lambda: travel_distance(Coil(g), x).delta)
                 == answers(lambda: coil_marching_distance(g, x, WALK_CFG))), (g, x)
+
+
+# A target whose upper turning point is past the float range: X < 0 at
+# gamma^(2i+1) = inf for the walk and the closed forms, and average_ratio's
+# negative bracket at |X|.
+OVERFLOW_GAMMA, OVERFLOW_X = 3.733023421621123, -1.6902816577234507e+307
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: coil_marching_distance(OVERFLOW_GAMMA, OVERFLOW_X, WALK_CFG),
+    lambda: travel_distance(Coil(OVERFLOW_GAMMA), OVERFLOW_X),
+    lambda: bracket_index(Coil(OVERFLOW_GAMMA), OVERFLOW_X),
+    lambda: average_ratio(Coil(OVERFLOW_GAMMA), -OVERFLOW_X),
+], ids=["walk", "travel_distance", "bracket_index", "average_ratio"])
+def test_overflowing_turning_point_is_the_walks_overflow(solve):
+    # one exception type, and the walk's wording, for one overflow
+    with pytest.raises(NumericalError, match="^overflow: target beyond representable sweeps"):
+        solve()
 
 
 class TestWorstCaseRatio:
@@ -259,15 +277,16 @@ def _parent_travel_distance(g: float, target: float) -> CoilHit:
 
 
 def _same_outcome(new, old) -> bool:
-    """new() and old() return equal values, or raise the same overflow or
-    numerical failure; an old NaN or inf average is now a NumericalError."""
+    """new() and old() return equal values, or raise the same numerical
+    failure; an old NaN or inf average and an old raw OverflowError from a
+    turning point past the float range are now NumericalErrors."""
     def outcome(f):
         try:
             return f()
         except (OverflowError, NumericalError) as exc:
             return type(exc)
     a, b = outcome(new), outcome(old)
-    if isinstance(b, float) and not math.isfinite(b):
+    if b is OverflowError or isinstance(b, float) and not math.isfinite(b):
         b = NumericalError
     return a == b
 

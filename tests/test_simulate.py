@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
                                 _bisect_contacts, _first_contacts, _inverse_table,
                                 coil_marching_distance, coil_walk_sample, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
-                                spiral_first_contact, summarize)
+                                spiral_first_contact)
 from shoreline.spiral_geometry import (Spiral, arclength, contact_distance, second_contact,
                                        tangent_contact)
 from shoreline.spiral_objectives import minmax_objective, minmean_objective
@@ -235,7 +236,7 @@ class TestMonteCarloMeanArclength:
         stats = monte_carlo_mean_arclength(k, SimConfig(seed=seed, samples=n))
         factor = math.sqrt(1.0 + k * k) / k
         hits = _first_contacts(_inverse_table(k), omegas)
-        assert stats == summarize(factor * np.exp(k * hits))
+        assert stats == simulate._summarize(factor * np.exp(k * hits))
 
     def test_shard_derivation_consistency(self):
         # blocks drawn at offsets concatenate to the serial sequence
@@ -388,7 +389,7 @@ class TestCoilWalkSample:
         for gamma, x0, seed in ((2.0, 1.7, 5), (1.05, 1e-200, 8)):
             draws = uniform_block(seed, 0, n) * (x0 + x0) - x0
             draws[draws == 0.0] = x0
-            whole = summarize(coil_marching_distance(gamma, draws, CFG) / np.abs(draws))
+            whole = simulate._summarize(coil_marching_distance(gamma, draws, CFG) / np.abs(draws))
             assert coil_walk_sample(gamma, x0, SimConfig(seed=seed, samples=n)) == whole
 
 
@@ -422,7 +423,8 @@ class TestMixedStrategySample:
     def test_blocks_match_one_whole_array(self, n):
         # the blocked sampler gives every field of one whole-array sample
         for gamma, x, seed in ((2.0, 1.0, 5), (3.591121476669, 1e-150, 8)):
-            whole = summarize(simulate._mixed_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n)))
+            whole = simulate._summarize(
+                simulate._mixed_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n)))
             assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == whole
 
 
@@ -527,6 +529,54 @@ class TestScanWorstRatio:
             whole = max(float(bracket_ratio(gamma, pos, 0).max()),
                         float(bracket_ratio(gamma, neg, -1).max()))
             assert scan_worst_ratio(gamma, points) == whole
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK, 3 * _BLOCK + 5])
+def test_summarize_in_place_is_numpys_summary(n):
+    # every field bit for bit as numpy takes it on a copy, at the summary's
+    # size edges and across block boundaries
+    values = 10.0 ** (3.0 * uniform_block(41, 0, n)) - 7.0
+    copy = values.copy()
+    se = float(copy.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    assert simulate._summarize(values) == SampleStats(
+        mean=float(copy.mean()), std_error=se, n=n, min=float(copy.min()), max=float(copy.max()))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_summarize_non_finite_sample_is_numerical_failure(bad):
+    # inf - inf in the deviation pass raises no numpy warning
+    values = uniform_block(43, 0, 3 * _BLOCK + 5)
+    values[_BLOCK + 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite sample statistics"):
+            simulate._summarize(values)
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda cfg: monte_carlo_mean_arclength(golden.MINMEAN_KAPPA, cfg),
+    lambda cfg: mixed_strategy_sample(golden.MIXED_GAMMA_REF, 1.0, cfg),
+    lambda cfg: coil_walk_sample(2.0, 1.7, cfg),
+], ids=["monte_carlo_mean_arclength", "mixed_strategy_sample", "coil_walk_sample"])
+def test_sampler_holds_one_sample_array(sampler):
+    # numpy reports its buffers to tracemalloc: a call holds its n samples
+    # and block-sized temporaries, never a second n-sized array (a summary
+    # on a copy of the samples adds 8n bytes, which the 32-block allowance
+    # hides below n ~ 5e5)
+    n = 10 ** 6
+    cfg = SimConfig(seed=1, samples=n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sampler(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 8 * n + 32 * 8 * _BLOCK
 
 
 class TestSampleStats:
