@@ -346,7 +346,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {_invocation(args)}: {detail}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # numpy names the array it cannot allocate, such as 10^14 samples
+        # numpy names the array it cannot allocate, such as a plot grid of
+        # 10^14 points (a Monte Carlo run holds one block at any n)
         detail = str(exc) or "out of memory"
         print(f"memory failure: {_invocation(args)}: {detail}", file=sys.stderr)
         return 1

@@ -35,7 +35,10 @@ holds exactly the values a serial run draws at those positions.  The three
 Monte Carlo drivers (spiral mean, mixed coil, coil walk) share one loop,
 `_sample`, over fixed, cache-sized blocks of positions, and the worst-ratio
 scan runs over blocks of its grid; since every sample and grid point is
-solved on its own, the results do not depend on the block size.
+solved on its own, the samples do not depend on the block size.  No call
+holds more than a block of them: `_summarize` reduces each block and merges
+the blocks' moments, and the spiral and mixed drivers solve every block in
+one workspace allocated per call.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -78,6 +81,11 @@ _REFINE_TOL = 1e-10
 # this length) stays in a core's cache.
 _BLOCK = 16384
 
+# Float rows of a block that `_first_contacts` and `_mixed_ratio` cut their
+# buffers from.
+_CONTACT_ROWS = 7
+_MIXED_ROWS = 3
+
 # Equal steps of s in one Monte Carlo call's inverse table.  At this size
 # every guess in a 1e6-sample run passes the certificate for kappa <= 20; at
 # kappa = 30 and 100, where t falls steeply toward -pi/2, 0.24% and 1.8% of
@@ -100,7 +108,9 @@ class SimConfig:
     of 2*eps*|theta| regardless of the march step; the step only controls
     how finely crossings are scouted, near-tangent cases being caught by the
     grazing band.  The Monte Carlo drivers do not read it.  ``seed`` and
-    ``samples`` (>= 1) are integers, read with ``operator.index``."""
+    ``samples`` are integers, read with ``operator.index``; ``samples`` runs
+    from 1 to 2^53, beyond which a count, and n - 1 in the standard error,
+    is no longer exact as a double."""
 
     seed: int = 0
     samples: int = 100_000
@@ -110,14 +120,14 @@ class SimConfig:
         if isinstance(self.seed, bool) or isinstance(self.samples, bool):
             raise TypeError("seed and samples must be integers, not bool")
         operator.index(self.seed)  # a float, even 2.0, is a TypeError
-        if operator.index(self.samples) < 1:
-            raise ValueError(f"samples must be >= 1, not {self.samples!r}")
+        if not 1 <= operator.index(self.samples) <= 2 ** 53:
+            raise ValueError(f"samples must be >= 1 and <= 2**53, not {self.samples!r}")
         _check_positive("march_step", self.march_step)
 
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Summary of a Monte Carlo sample."""
+    """Summary of a Monte Carlo sample, as `_summarize` merges it from blocks."""
 
     mean: float
     std_error: float
@@ -130,28 +140,42 @@ class SampleStats:
             raise ValueError("inconsistent sample statistics")
 
 
-def _summarize(values: np.ndarray) -> SampleStats:
-    """SampleStats of a 1-D array (standard error uses the n-1 denominator),
-    computed in place: ``values`` ends holding the squared deviations.
+def _summarize(blocks: Iterable[np.ndarray]) -> SampleStats:
+    """SampleStats of the samples in ``blocks``, 1-D arrays that are reduced
+    in place (each ends holding its squared deviations); the standard error
+    uses the n-1 denominator.
 
-    The steps are those ``values.std(ddof=1)`` runs on its own copy (the
-    mean, the deviations, their squares, one `np.add.reduce` to M2), so
-    se = sqrt(M2/(n-1))/sqrt(n) is numpy's bit for bit.  Raises
-    NumericalError when a sample or a statistic is not finite."""
-    n = int(values.size)
-    lo, hi = float(values.min()), float(values.max())
+    Each block takes the steps ``values.std(ddof=1)`` runs on its own copy
+    (the mean, the deviations, their squares, one `np.add.reduce` to M2), so
+    one block gives se = sqrt(M2/(n-1))/sqrt(n) bit for bit as numpy does.
+    The blocks' (count, mean, M2, min, max) are merged in order by the
+    pairwise update of Chan, Golub & LeVeque (The American Statistician
+    37(3), 1983); the merged mean and standard error lie within 1e-14
+    relative of one whole array's.  Raises NumericalError when a sample or a
+    statistic is not finite."""
+    n, mean, m2, lo, hi = 0, math.nan, math.nan, math.nan, math.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(values.mean())
-        np.subtract(values, mean, out=values)
-        np.multiply(values, values, out=values)
-        m2 = float(np.add.reduce(values))
+        for values in blocks:
+            count = int(values.size)
+            b_lo, b_hi = float(values.min()), float(values.max())
+            b_mean = float(values.mean())
+            np.subtract(values, b_mean, out=values)
+            np.multiply(values, values, out=values)
+            b_m2 = float(np.add.reduce(values))
+            if not n:
+                n, mean, m2, lo, hi = count, b_mean, b_m2, b_lo, b_hi
+                continue
+            total, delta = n + count, b_mean - mean
+            mean += delta * (count / total)
+            m2 += b_m2 + delta * delta * (n * count / total)
+            n, lo, hi = total, min(lo, b_lo), max(hi, b_hi)
     se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
     if not all(map(math.isfinite, (mean, se, lo, hi))):
         raise NumericalError("non-finite sample statistics")
     return SampleStats(mean=mean, std_error=se, n=n, min=lo, max=hi)
 
 
-def _on_or_past(kappa: float, thetas, omegas):
+def _on_or_past(kappa: float, thetas, omegas, out=(None, None, None)):
     """The contact sign test, d(theta) >= 0, elementwise.
 
     It reads the log distance kappa*theta + ln cos(theta - omega), which has
@@ -159,9 +183,13 @@ def _on_or_past(kappa: float, thetas, omegas):
     is positive and never overflows; where the cosine is not positive d < 0,
     and the NaN or -inf logarithm compares False.  So a bracket may reach
     back to a window edge, omega - pi/2, as the Monte Carlo window bracket
-    does."""
+    does.  ``out`` may name buffers for the log distance, for kappa*theta
+    (``thetas`` itself, which is then overwritten) and for the result."""
+    g, scaled, result = out
     with np.errstate(divide="ignore", invalid="ignore"):
-        return kappa * thetas + np.log(np.cos(thetas - omegas)) >= 0.0
+        g = np.log(np.cos(np.subtract(thetas, omegas, out=g), out=g), out=g)
+        g += np.multiply(kappa, thetas, out=scaled)
+        return np.greater_equal(g, 0.0, out=result)
 
 
 def _bisect_contacts(kappa: float, omegas, lo, hi):
@@ -182,12 +210,12 @@ def _bisect_contacts(kappa: float, omegas, lo, hi):
 class _InverseTable:
     """One kappa's inverse of H(t) = kappa*t + ln cos t (module docstring):
     t = theta - omega as cubic Hermite pieces in s = sqrt(kappa*(omega - omega0)),
-    ``coef[k][i]`` the u^k coefficient of cell i, u = s/step - i."""
+    ``coef[i, k]`` the u^k coefficient of cell i, u = s/step - i."""
 
     kappa: float
     omega0: float
     inv_step: float
-    coef: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    coef: np.ndarray
 
 
 def _inverse_table(kappa: float) -> _InverseTable:
@@ -222,12 +250,13 @@ def _inverse_table(kappa: float) -> _InverseTable:
     slope[0] = -math.sqrt(2.0 / (1.0 + kappa * kappa))
     slope *= step
     rise = np.diff(t)
-    coef = (t[:-1], slope[:-1], 3.0 * rise - 2.0 * slope[:-1] - slope[1:],
-            slope[:-1] + slope[1:] - 2.0 * rise)
+    coef = np.stack((t[:-1], slope[:-1], 3.0 * rise - 2.0 * slope[:-1] - slope[1:],
+                     slope[:-1] + slope[1:] - 2.0 * rise), axis=1)
     return _InverseTable(kappa, omega0, 1.0 / step, coef)
 
 
-def _first_contacts(table: _InverseTable, omegas: np.ndarray) -> np.ndarray:
+def _first_contacts(table: _InverseTable, omegas: np.ndarray,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """First contact angles for directions in [omega0, omega0 + 2*pi) at the
     table's kappa.
 
@@ -235,16 +264,36 @@ def _first_contacts(table: _InverseTable, omegas: np.ndarray) -> np.ndarray:
     guess - _REFINE_TOL/2 and True at guess + _REFINE_TOL/2, so it lies
     within _REFINE_TOL/2 of a sign change of the window's increasing branch,
     as a bisected contact does; NaN fails the test.  The other rows are
-    bisected on the window bracket (omega - pi/2, omega + atan(kappa)]."""
-    kappa = table.kappa
-    x = np.sqrt(kappa * (omegas - table.omega0)) * table.inv_step
-    cell = np.minimum(x.astype(np.intp), _TABLE_CELLS - 1)
-    u = x - cell
-    a0, a1, a2, a3 = (c[cell] for c in table.coef)
-    thetas = omegas + (a0 + u * (a1 + u * (a2 + u * a3)))
-    half = 0.5 * _REFINE_TOL
-    miss = np.flatnonzero(_on_or_past(kappa, thetas - half, omegas)
-                          | ~_on_or_past(kappa, thetas + half, omegas))
+    bisected on the window bracket (omega - pi/2, omega + atan(kappa)].
+    The kernel's buffers are cut from ``work``, a float array of at least
+    _CONTACT_ROWS * omegas.size values (allocated when not given), and the
+    contacts are returned in one of them."""
+    kappa, n = table.kappa, omegas.size
+    if work is None:
+        work = np.empty(_CONTACT_ROWS * n)
+    x, thetas, g = work[:n], work[n:2 * n], work[2 * n:3 * n]
+    cell, coef = g.view(np.intp), work[3 * n:7 * n].reshape(n, 4)
+    np.subtract(omegas, table.omega0, out=x)
+    x *= kappa
+    np.sqrt(x, out=x)
+    x *= table.inv_step
+    np.copyto(cell, x, casting="unsafe")
+    np.minimum(cell, _TABLE_CELLS - 1, out=cell)
+    x -= cell  # u, the offset in the cell
+    # cell is in range; mode "raise" would write through a buffered copy of out
+    table.coef.take(cell, axis=0, out=coef, mode="clip")
+    np.multiply(x, coef[:, 3], out=thetas)  # a0 + u*(a1 + u*(a2 + u*a3))
+    for k in (2, 1, 0):
+        thetas += coef[:, k]
+        if k:
+            thetas *= x
+    thetas += omegas
+    # the certificate, with the probes in x and the flags in coef's rows
+    flags, half = work[3 * n:4 * n].view(bool), 0.5 * _REFINE_TOL
+    low, high = flags[:n], flags[n:2 * n]
+    _on_or_past(kappa, np.subtract(thetas, half, out=x), omegas, (g, x, low))
+    _on_or_past(kappa, np.add(thetas, half, out=x), omegas, (g, x, high))
+    miss = np.flatnonzero(np.greater_equal(low, high, out=low))  # low | ~high
     if miss.size:
         w = omegas[miss]
         thetas[miss] = _bisect_contacts(kappa, w, w - 0.5 * math.pi, w + math.atan(kappa))
@@ -306,36 +355,39 @@ def spiral_first_contact(kappa: float, omega: float, cfg: SimConfig) -> Tuple[fl
 def _sample(cfg: SimConfig, measure: Callable[[np.ndarray], np.ndarray]) -> SampleStats:
     """`_summarize` of ``measure(u)`` over the stream values u at positions
     0 .. cfg.samples - 1, _BLOCK at a time; each block is a fresh array that
-    ``measure`` may overwrite.  The one n-sized array is summarized in place.
-    A non-finite value is left to `_summarize` to classify, without numpy
-    warnings."""
-    values = np.empty(cfg.samples)
+    ``measure`` may overwrite, and each array it returns is reduced in place
+    before the next block is drawn.  A non-finite value is left to
+    `_summarize` to classify, without numpy warnings."""
+    n = cfg.samples
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, cfg.samples, _BLOCK):
-            count = min(_BLOCK, cfg.samples - start)
-            values[start:start + count] = measure(uniform_block(cfg.seed, start, count))
-    return _summarize(values)
+        return _summarize(measure(uniform_block(cfg.seed, start, min(_BLOCK, n - start)))
+                          for start in range(0, n, _BLOCK))
 
 
 def monte_carlo_mean_arclength(kappa: float, cfg: SimConfig) -> SampleStats:
     """Mean first-contact arclength over shoreline directions drawn
     uniformly from one full period [omega0, omega0 + 2*pi).
 
-    The call builds one `_inverse_table` for kappa and passes it to every
-    block's `_first_contacts`: each direction's contact is the left root of
-    the log distance on its window (omega - pi/2, omega + atan(kappa)],
-    guessed from the table and kept only under the sign-change certificate,
-    else bisected there.  An arclength beyond the float range is a
-    NumericalError.
+    The call builds one `_inverse_table` for kappa and one block workspace,
+    and passes both to every block's `_first_contacts`: each direction's
+    contact is the left root of the log distance on its window
+    (omega - pi/2, omega + atan(kappa)], guessed from the table and kept
+    only under the sign-change certificate, else bisected there.  An
+    arclength beyond the float range is a NumericalError.
     """
     _check_positive("kappa", kappa)
     table = _inverse_table(kappa)
     factor = math.sqrt(1.0 + kappa * kappa) / kappa
+    work = np.empty(_CONTACT_ROWS * min(cfg.samples, _BLOCK))
 
     def measure(u: np.ndarray) -> np.ndarray:
         u *= math.tau  # the directions omega0 + tau*u, in place
         u += table.omega0
-        return factor * np.exp(kappa * _first_contacts(table, u))
+        lengths = _first_contacts(table, u, work)
+        lengths *= kappa  # factor * e^(kappa*theta), in place
+        np.exp(lengths, out=lengths)
+        lengths *= factor
+        return lengths
 
     return _sample(cfg, measure)
 
@@ -409,19 +461,41 @@ def coil_walk_sample(gamma: float, x0: float, cfg: SimConfig) -> SampleStats:
     return _sample(cfg, measure)
 
 
-def _mixed_ratio(gamma: float, x: float, phase: np.ndarray) -> np.ndarray:
+def _mixed_ratio(gamma: float, x: float, phase: np.ndarray,
+                 work: np.ndarray | None = None) -> np.ndarray:
     """delta/x = 1 + 2*gamma^(2i+2+H)/((gamma-1)*x) for each phase H, with
     gamma^(2i+H) < x <= gamma^(2i+2+H).  A continuous phase has no scalar
     bracket rule to agree with, so the powers are numpy's: the ceiling guess
     is nudged by one step each way, which suffices because it is off by at
-    most one."""
-    i = np.ceil(np.log(x) / (2.0 * math.log(gamma)) - (1.0 + 0.5 * phase))
-    i = np.where(gamma ** (2.0 * i + phase) >= x, i - 1.0, i)
-    hi = gamma ** (2.0 * i + 2.0 + phase)
-    up = hi < x
-    if up.any():
-        hi = np.where(up, gamma ** (2.0 * (i + 1.0) + 2.0 + phase), hi)
-    return 1.0 + 2.0 * hi / ((gamma - 1.0) * x)
+    most one.  The buffers are cut from ``work``, a float array of at least
+    _MIXED_ROWS * phase.size values (allocated when not given), and the
+    ratios are returned in one of them."""
+    n = phase.size
+    if work is None:
+        work = np.empty(_MIXED_ROWS * n)
+    i, hi, flags = work[:n], work[n:2 * n], work[2 * n:3 * n].view(bool)[:n]
+    np.multiply(phase, 0.5, out=i)  # i = ceil(ln x/(2 ln gamma) - (1 + H/2))
+    i += 1.0
+    np.subtract(np.log(x) / (2.0 * math.log(gamma)), i, out=i)
+    np.ceil(i, out=i)
+    np.multiply(i, 2.0, out=hi)  # one step down where gamma^(2i+H) >= x
+    hi += phase
+    np.greater_equal(np.power(gamma, hi, out=hi), x, out=flags)
+    np.subtract(i, 1.0, out=i, where=flags)
+    np.multiply(i, 2.0, out=hi)  # hi = gamma^(2i+2+H)
+    hi += 2.0
+    hi += phase
+    np.power(gamma, hi, out=hi)
+    if np.less(hi, x, out=flags).any():  # one step up where hi < x
+        i += 1.0
+        i *= 2.0
+        i += 2.0
+        i += phase
+        np.power(gamma, i, out=hi, where=flags)
+    hi *= 2.0
+    hi /= (gamma - 1.0) * x
+    hi += 1.0
+    return hi
 
 
 def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats:
@@ -430,11 +504,32 @@ def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats
     Each sample draws a phase H uniform on [0, 2), shifts every turning
     point to +-gamma^(k+H), brackets the (positive) target by
     gamma^(2i+H) < x <= gamma^(2i+2+H), and pays
-    delta = x + 2*gamma^(2i+2+H)/(gamma-1) (`_mixed_ratio`).
+    delta = x + 2*gamma^(2i+2+H)/(gamma-1) (`_mixed_ratio`, in one block
+    workspace allocated per call).
     """
     _check_gamma(gamma)
     _check_positive("X", x)
-    return _sample(cfg, lambda u: _mixed_ratio(gamma, x, 2.0 * u))
+    work = np.empty(_MIXED_ROWS * min(cfg.samples, _BLOCK))
+
+    def measure(u: np.ndarray) -> np.ndarray:
+        u *= 2.0  # the phases, in place
+        return _mixed_ratio(gamma, x, u, work)
+
+    return _sample(cfg, measure)
+
+
+def _exponent_blocks(count: int) -> Iterator[np.ndarray]:
+    """``np.linspace(-3.0, 3.0, count)`` (count >= 2) in blocks of _BLOCK,
+    bit for bit: numpy's own formula, arange times the step plus the start,
+    with the last point set to the stop."""
+    step = 6.0 / (count - 1)
+    for start in range(0, count, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, count), dtype=float)
+        block *= step
+        block += -3.0
+        if start + _BLOCK >= count:
+            block[-1] = 3.0
+        yield block
 
 
 def scan_worst_ratio(gamma: float, points: int) -> float:
@@ -446,13 +541,12 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
     _check_gamma(gamma)
     if points < 100:
         raise ValueError("require points >= 100")
-    exponents = np.linspace(-3.0, 3.0, points // 2)
     ks = np.array([-1.0, 0.0, 1.0])
     maxima = []
     # Positive targets bracket at offset 0, negative ones at offset -1.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, exponents.size, _BLOCK):
-            grid = gamma ** exponents[start:start + _BLOCK]
+        for exponents in _exponent_blocks(points // 2):
+            grid = np.power(gamma, exponents, out=exponents)
             if not grid[-1] < math.inf:
                 raise NumericalError(f"scan grid at gamma {gamma!r} is beyond the float range")
             maxima += [bracket_ratio(gamma, grid, 0).max(), bracket_ratio(gamma, grid, -1).max()]

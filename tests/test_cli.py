@@ -370,15 +370,25 @@ def test_mixed_overflow_is_one_failure_line(argv, capsys):
     assert err.startswith("numerical failure: simulate mixed (") and err.count("\n") == 1
 
 
-def test_unholdable_sample_count_is_one_failure_line(capsys):
-    # 10^14 samples need 728 TiB, more than a process can address, so numpy
-    # refuses the array without touching memory
+def test_unholdable_sample_count_is_one_failure_line(capsys, tmp_path: Path):
+    # a grid of 10^14 points needs 728 TiB, more than a process can address,
+    # so numpy refuses the array without touching memory; nothing is written
+    out_file = tmp_path / "i.csv"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["simulate", "mixed", "--gamma", "2", "-n", "100000000000000"]) == 1
+        assert main(["plot-data", "I", "--gamma", "2", "--range", "1:2",
+                     "--points", "100000000000000", "--out", str(out_file)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and not caught
-    assert err.startswith("memory failure: simulate mixed (") and err.count("\n") == 1
+    assert out == "" and not caught and not out_file.exists()
+    assert err.startswith("memory failure: plot-data I (") and err.count("\n") == 1
+
+
+def test_sample_count_beyond_exact_doubles_is_usage_error(capsys):
+    # the sampler holds one block at any n, so a count is refused before the
+    # first block where the merge's counts stop being exact doubles
+    assert main(["simulate", "mixed", "--gamma", "2", "-n", str(2 ** 53 + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: samples must be >= 1 and <= 2**53, not 9007199254740993\n"
 
 
 def test_parser_is_built_once_and_reused(capsys):

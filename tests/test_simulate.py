@@ -22,6 +22,10 @@ from shoreline.spiral_objectives import minmax_objective, minmean_objective
 
 TWO_PI = 2.0 * math.pi
 
+# Relative tolerance of a block merge's mean and standard error against one
+# whole array's (`simulate._summarize`).
+MERGE_REL = 1e-14
+
 CFG = SimConfig(seed=0, samples=1, march_step=1e-3)
 MC_CFG = SimConfig(march_step=0.02)
 
@@ -236,7 +240,7 @@ class TestMonteCarloMeanArclength:
         stats = monte_carlo_mean_arclength(k, SimConfig(seed=seed, samples=n))
         factor = math.sqrt(1.0 + k * k) / k
         hits = _first_contacts(_inverse_table(k), omegas)
-        assert stats == simulate._summarize(factor * np.exp(k * hits))
+        assert_merged(stats, simulate._summarize([factor * np.exp(k * hits)]))
 
     def test_shard_derivation_consistency(self):
         # blocks drawn at offsets concatenate to the serial sequence
@@ -385,12 +389,12 @@ def test_simulate_coil_is_bit_identical(point, capsys):
 class TestCoilWalkSample:
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_blocks_match_one_whole_array(self, n):
-        # the blocked sampler gives every field of one walk over all the draws
+        # the blocked sampler gives the summary of one walk over all the draws
         for gamma, x0, seed in ((2.0, 1.7, 5), (1.05, 1e-200, 8)):
             draws = uniform_block(seed, 0, n) * (x0 + x0) - x0
             draws[draws == 0.0] = x0
-            whole = simulate._summarize(coil_marching_distance(gamma, draws, CFG) / np.abs(draws))
-            assert coil_walk_sample(gamma, x0, SimConfig(seed=seed, samples=n)) == whole
+            whole = simulate._summarize([coil_marching_distance(gamma, draws, CFG) / np.abs(draws)])
+            assert_merged(coil_walk_sample(gamma, x0, SimConfig(seed=seed, samples=n)), whole)
 
 
 class TestMixedStrategySample:
@@ -421,24 +425,26 @@ class TestMixedStrategySample:
 
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_blocks_match_one_whole_array(self, n):
-        # the blocked sampler gives every field of one whole-array sample
+        # the blocked sampler gives the summary of one whole-array sample
         for gamma, x, seed in ((2.0, 1.0, 5), (3.591121476669, 1e-150, 8)):
             whole = simulate._summarize(
-                simulate._mixed_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n)))
-            assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == whole
+                [simulate._mixed_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n))])
+            assert_merged(mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)), whole)
 
 
-# `mixed_strategy_sample` at three points, as the whole-array sampler that the
-# blocked one replaced returned them: (gamma, X, seed, n) -> SampleStats
+# `mixed_strategy_sample` at three points, as the block merge returns them:
+# (gamma, X, seed, n) -> SampleStats.  Where the merge moved the mean or the
+# standard error, WHOLE_ARRAY_PINNED keeps them as the whole-array summary
+# returned them.
 MIXED_PINNED = {
     (2.0, 1.0, 7, 40000): SampleStats(
-        mean=5.318027548698102, std_error=0.008500709256265481, n=40000,
+        mean=5.318027548698101, std_error=0.008500709256265481, n=40000,
         min=3.0000129877301775, max=8.998547326340628),
     (3.591121476669, 17.0, 3, 3 * _BLOCK + 5): SampleStats(
         mean=4.589044624476075, std_error=0.011405420876276535, n=49157,
         min=1.7719214296838781, max=10.95369646742225),
     (1.05, 1e-200, 11, 100000): SampleStats(
-        mean=43.017109930523716, std_error=0.0037345063976886553, n=100000,
+        mean=43.01710993052372, std_error=0.0037345063976886553, n=100000,
         min=41.00003488800253, max=45.09998342164092),
 }
 
@@ -446,14 +452,17 @@ MIXED_PINNED = {
 @pytest.mark.parametrize("point", MIXED_PINNED)
 def test_mixed_strategy_sample_is_bit_identical(point):
     gamma, x, seed, n = point
-    assert mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)) == MIXED_PINNED[point]
+    got = mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n))
+    assert got == MIXED_PINNED[point]
+    if point in WHOLE_ARRAY_PINNED:
+        assert_near(got, *WHOLE_ARRAY_PINNED[point])
 
 
-# `monte_carlo_mean_arclength` at three points, as the driver that summarized
-# all its arclengths in one piece returned them: (kappa, seed, n) -> SampleStats
+# `monte_carlo_mean_arclength` at three points, as the block merge returns
+# them: (kappa, seed, n) -> SampleStats
 SPIRAL_PINNED = {
     (0.3732051316134667, 7, 40000): SampleStats(
-        mean=7.007838849763904, std_error=0.019197400664931405, n=40000,
+        mean=7.007838849763904, std_error=0.01919740066493141, n=40000,
         min=2.8600131210196453, max=16.542725072330306),
     (0.2124695594156479, 3, 3 * _BLOCK + 5): SampleStats(
         mean=8.115475114483814, std_error=0.011804117598344445, n=49157,
@@ -469,6 +478,31 @@ def test_monte_carlo_mean_arclength_is_bit_identical(point):
     kappa, seed, n = point
     got = monte_carlo_mean_arclength(kappa, SimConfig(seed=seed, samples=n))
     assert got == SPIRAL_PINNED[point]
+    if point in WHOLE_ARRAY_PINNED:
+        assert_near(got, *WHOLE_ARRAY_PINNED[point])
+
+
+# The (mean, std_error) that the whole-array summary gave at the pinned points
+# where the block merge moved them, by 1 ulp each.
+WHOLE_ARRAY_PINNED = {
+    (2.0, 1.0, 7, 40000): (5.318027548698102, 0.008500709256265481),
+    (1.05, 1e-200, 11, 100000): (43.017109930523716, 0.0037345063976886553),
+    (0.3732051316134667, 7, 40000): (7.007838849763904, 0.019197400664931405),
+}
+
+
+def assert_near(stats, mean, se):
+    assert stats.mean == pytest.approx(mean, rel=MERGE_REL, abs=0.0)
+    assert stats.std_error == pytest.approx(se, rel=MERGE_REL, abs=0.0)
+
+
+def assert_merged(stats, whole):
+    # up to one block the merge is the whole-array summary bit for bit; past
+    # it n, min and max stay exact and the mean and SE lie within MERGE_REL
+    if whole.n <= _BLOCK:
+        assert stats == whole
+    assert (stats.n, stats.min, stats.max) == (whole.n, whole.min, whole.max)
+    assert_near(stats, whole.mean, whole.std_error)
 
 
 class TestScanWorstRatio:
@@ -516,6 +550,13 @@ class TestScanWorstRatio:
         with pytest.raises(ValueError):
             scan_worst_ratio(2.0, 50)
 
+    @pytest.mark.parametrize("count", [50, _BLOCK, _BLOCK + 1, 50_000, 499_999, 500_000])
+    def test_exponent_blocks_are_linspace(self, count):
+        # the scan's grid, built a block at a time, is numpy's bit for bit
+        blocks = list(simulate._exponent_blocks(count))
+        assert max(b.size for b in blocks) <= _BLOCK
+        assert np.array_equal(np.concatenate(blocks), np.linspace(-3.0, 3.0, count))
+
     @pytest.mark.parametrize("points", [2 * _BLOCK - 2, 2 * _BLOCK, 2 * _BLOCK + 2,
                                         4 * _BLOCK + 1])
     def test_blocks_match_one_whole_grid(self, points):
@@ -533,24 +574,37 @@ class TestScanWorstRatio:
 
 @pytest.mark.parametrize("n", [1, 2, _BLOCK, 3 * _BLOCK + 5])
 def test_summarize_in_place_is_numpys_summary(n):
-    # every field bit for bit as numpy takes it on a copy, at the summary's
-    # size edges and across block boundaries
+    # one block gives every field bit for bit as numpy takes it on a copy,
+    # at the summary's size edges and past a sampling block
     values = 10.0 ** (3.0 * uniform_block(41, 0, n)) - 7.0
     copy = values.copy()
     se = float(copy.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    assert simulate._summarize(values) == SampleStats(
+    assert simulate._summarize([values]) == SampleStats(
         mean=float(copy.mean()), std_error=se, n=n, min=float(copy.min()), max=float(copy.max()))
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 3 * _BLOCK + 5, 10 ** 6])
+@pytest.mark.parametrize("size", [1000, _BLOCK])
+def test_summarize_merges_blocks_within_tolerance(n, size):
+    # sampling blocks, and blocks cut elsewhere, merge to the whole array's
+    # summary: n, min and max exact, mean and SE within MERGE_REL
+    values = 10.0 ** (3.0 * uniform_block(47, 0, n)) - 7.0
+    whole = simulate._summarize([values.copy()])
+    assert_merged(simulate._summarize(values[k:k + size] for k in range(0, n, size)), whole)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_summarize_non_finite_sample_is_numerical_failure(bad):
-    # inf - inf in the deviation pass raises no numpy warning
-    values = uniform_block(43, 0, 3 * _BLOCK + 5)
-    values[_BLOCK + 1] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="non-finite sample statistics"):
-            simulate._summarize(values)
+    # in the first, a middle or the last block; inf - inf in the deviation
+    # pass and in the merge raises no numpy warning
+    n = 3 * _BLOCK + 5
+    for at in (0, _BLOCK + 1, n - 1):
+        values = uniform_block(43, 0, n)
+        values[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite sample statistics"):
+                simulate._summarize(values[k:k + _BLOCK] for k in range(0, n, _BLOCK))
 
 
 @pytest.mark.parametrize("sampler", [
@@ -559,24 +613,21 @@ def test_summarize_non_finite_sample_is_numerical_failure(bad):
     lambda cfg: coil_walk_sample(2.0, 1.7, cfg),
 ], ids=["monte_carlo_mean_arclength", "mixed_strategy_sample", "coil_walk_sample"])
 def test_sampler_holds_one_sample_array(sampler):
-    # numpy reports its buffers to tracemalloc: a call holds its n samples
-    # and block-sized temporaries, never a second n-sized array (a summary
-    # on a copy of the samples adds 8n bytes, which the 32-block allowance
-    # hides below n ~ 5e5)
-    n = 10 ** 6
-    cfg = SimConfig(seed=1, samples=n)
+    # numpy reports its buffers to tracemalloc: a call holds one block of
+    # samples and block-sized buffers at any n, never an n-sized array
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sampler(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        for n in (10 ** 6, 4 * 10 ** 6):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sampler(SimConfig(seed=1, samples=n))
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= 32 * 8 * _BLOCK, n
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 8 * n + 32 * 8 * _BLOCK
 
 
 class TestSampleStats:
@@ -589,6 +640,9 @@ class TestSampleStats:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(seed=1, samples=0)
+        with pytest.raises(ValueError, match="samples must be"):
+            SimConfig(seed=1, samples=2 ** 53 + 1)
+        assert SimConfig(samples=2 ** 53).samples == 2 ** 53
         with pytest.raises(ValueError):
             SimConfig(seed=1, samples=10, march_step=-0.1)
         # samples and seed are integers: no float, even an integral one, and no bool
