@@ -107,6 +107,9 @@ class MeanOptima(NamedTuple):
     mean_max: float
 
 
+_TINY = 2.2250738585072014e-308  # the smallest normal double
+
+
 def _turn_offset(target: float) -> int:
     # Turning points sit at +gamma^(2i) and -gamma^(2i-1): offset c in gamma^(2i+c).
     return 0 if target > 0.0 else -1
@@ -142,7 +145,7 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
                 break
     except OverflowError:
         raise NumericalError("overflow: target beyond representable sweeps") from None
-    if lo * g < 2.2250738585072014e-308:  # the smallest normal double
+    if lo * g < _TINY:
         raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
     return i, lo, hi
 
@@ -199,25 +202,41 @@ def bracket_ratio(gamma: float, magnitude, offset: int):
     targets, -1 for negative ones.
 
     The vector form of `bracket_index`, bit for bit that formula with its
-    i, for finite magnitudes > 0 whose turning points are normal doubles
-    and whose index guess ceil(ln|X|/(2 ln gamma) - 1 - c/2) is off by at
-    most one, true while |ln|X|/ln(gamma)| < 2^48.  Each turning point is a
-    libm power, computed once per call in a table over the guesses
-    [min - 1, max + 2], or, when that span is longer than the rows, around
-    each distinct guess.  The upper power gamma^(2i+2+c) is the first table
-    entry >= |X|, so the inequalities decide, as in `_bracket`.
+    i while the index guess ceil(ln|X|/(2 ln gamma) - 1 - c/2) is off by at
+    most one, true while |ln|X|/ln(gamma)| < 2^48.  A magnitude below the
+    smallest normal double, or a guess beyond +-2^52, is a NumericalError.
+    Each turning point is a libm power, computed once per call in a table
+    over the guesses [min - 1, max + 2], or, when that span is longer than
+    the rows, around each distinct guess.  The upper power gamma^(2i+2+c)
+    is the first table entry >= |X|, so the inequalities decide, as in
+    `_bracket`; a table of up to 16 entries is scanned entry by entry, a
+    longer one bisected by `np.searchsorted`.
     """
     magnitude = np.asarray(magnitude, dtype=float)
+    least, most = magnitude.min(), magnitude.max()
+    if not least >= _TINY:
+        raise NumericalError("underflow: a target magnitude below the smallest normal double")
     scale, shift = 0.5 / math.log(gamma), 1.0 + 0.5 * offset
-    lo = math.ceil(math.log(magnitude.min()) * scale - shift) - 1
-    hi = math.ceil(math.log(magnitude.max()) * scale - shift) + 2
+    first, last = math.log(least) * scale - shift, math.log(most) * scale - shift
+    if not (-2.0 ** 52 < first and last <= 2.0 ** 52 - 1.0):  # |guess| < 2^52
+        raise NumericalError("turning-point index beyond exact doubles")
+    lo, hi = math.ceil(first) - 1, math.ceil(last) + 2
     if hi - lo < magnitude.size:
         ks = np.arange(lo, hi + 1)
     else:  # a few rows over a wide span
         guess = np.ceil(np.log(magnitude) * scale - shift).astype(np.int64)
         ks = np.unique(np.unique(guess)[:, None] + np.arange(-1, 3))
     table = _turning_points(gamma, 2 * ks + offset)
-    return 1.0 + 2.0 * table[np.searchsorted(table, magnitude)] / ((gamma - 1.0) * magnitude)
+    if table.size > 16:
+        ratio = table.take(np.searchsorted(table, magnitude))
+    else:  # each entry below a magnitude passes it the next one up
+        ratio = np.full(magnitude.shape, table[0])
+        for below, power in zip(table.tolist(), table[1:].tolist()):
+            np.copyto(ratio, power, where=magnitude > below)
+    ratio *= 2.0
+    ratio /= (gamma - 1.0) * magnitude
+    ratio += 1.0
+    return ratio
 
 
 def worst_case_ratio(coil: Coil) -> float:

@@ -37,8 +37,8 @@ Monte Carlo drivers (spiral mean, mixed coil, coil walk) share one loop,
 scan runs over blocks of its grid; since every sample and grid point is
 solved on its own, the samples do not depend on the block size.  No call
 holds more than a block of them: `_summarize` reduces each block and merges
-the blocks' moments, and the spiral and mixed drivers solve every block in
-one workspace allocated per call.
+the blocks' moments, and the spiral driver solves every block in one
+workspace allocated per call.
 """
 
 from __future__ import annotations
@@ -81,10 +81,8 @@ _REFINE_TOL = 1e-10
 # this length) stays in a core's cache.
 _BLOCK = 16384
 
-# Float rows of a block that `_first_contacts` and `_mixed_ratio` cut their
-# buffers from.
+# Float rows of a block that `_first_contacts` cuts its buffers from.
 _CONTACT_ROWS = 7
-_MIXED_ROWS = 3
 
 # Equal steps of s in one Monte Carlo call's inverse table.  At this size
 # every guess in a 1e6-sample run passes the certificate for kappa <= 20; at
@@ -162,6 +160,7 @@ def _summarize(blocks: Iterable[np.ndarray]) -> SampleStats:
             np.subtract(values, b_mean, out=values)
             np.multiply(values, values, out=values)
             b_m2 = float(np.add.reduce(values))
+            del values  # freed before the next block is drawn, which reuses its heap
             if not n:
                 n, mean, m2, lo, hi = count, b_mean, b_m2, b_lo, b_hi
                 continue
@@ -461,59 +460,20 @@ def coil_walk_sample(gamma: float, x0: float, cfg: SimConfig) -> SampleStats:
     return _sample(cfg, measure)
 
 
-def _mixed_ratio(gamma: float, x: float, phase: np.ndarray,
-                 work: np.ndarray | None = None) -> np.ndarray:
-    """delta/x = 1 + 2*gamma^(2i+2+H)/((gamma-1)*x) for each phase H, with
-    gamma^(2i+H) < x <= gamma^(2i+2+H).  A continuous phase has no scalar
-    bracket rule to agree with, so the powers are numpy's: the ceiling guess
-    is nudged by one step each way, which suffices because it is off by at
-    most one.  The buffers are cut from ``work``, a float array of at least
-    _MIXED_ROWS * phase.size values (allocated when not given), and the
-    ratios are returned in one of them."""
-    n = phase.size
-    if work is None:
-        work = np.empty(_MIXED_ROWS * n)
-    i, hi, flags = work[:n], work[n:2 * n], work[2 * n:3 * n].view(bool)[:n]
-    np.multiply(phase, 0.5, out=i)  # i = ceil(ln x/(2 ln gamma) - (1 + H/2))
-    i += 1.0
-    np.subtract(np.log(x) / (2.0 * math.log(gamma)), i, out=i)
-    np.ceil(i, out=i)
-    np.multiply(i, 2.0, out=hi)  # one step down where gamma^(2i+H) >= x
-    hi += phase
-    np.greater_equal(np.power(gamma, hi, out=hi), x, out=flags)
-    np.subtract(i, 1.0, out=i, where=flags)
-    np.multiply(i, 2.0, out=hi)  # hi = gamma^(2i+2+H)
-    hi += 2.0
-    hi += phase
-    np.power(gamma, hi, out=hi)
-    if np.less(hi, x, out=flags).any():  # one step up where hi < x
-        i += 1.0
-        i *= 2.0
-        i += 2.0
-        i += phase
-        np.power(gamma, i, out=hi, where=flags)
-    hi *= 2.0
-    hi /= (gamma - 1.0) * x
-    hi += 1.0
-    return hi
-
-
 def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats:
-    """Sampled travel ratio delta(x)/x of the phase-randomized coil.
-
-    Each sample draws a phase H uniform on [0, 2), shifts every turning
-    point to +-gamma^(k+H), brackets the (positive) target by
-    gamma^(2i+H) < x <= gamma^(2i+2+H), and pays
-    delta = x + 2*gamma^(2i+2+H)/(gamma-1) (`_mixed_ratio`, in one block
-    workspace allocated per call).
-    """
+    """Sampled travel ratio delta(x)/x of the phase-randomized coil: a phase
+    H uniform on [0, 2) scales every turning point by gamma^H, so the ratio
+    at x is the deterministic coil's at x*gamma^(-H).  With
+    gamma^(2i+H) < x <= gamma^(2i+2+H), delta(x)/x =
+    1 + 2*gamma^(2i+2+H)/((gamma-1)*x) = `bracket_ratio`(gamma, x*gamma^(-H), 0)."""
     _check_gamma(gamma)
     _check_positive("X", x)
-    work = np.empty(_MIXED_ROWS * min(cfg.samples, _BLOCK))
 
     def measure(u: np.ndarray) -> np.ndarray:
-        u *= 2.0  # the phases, in place
-        return _mixed_ratio(gamma, x, u, work)
+        u *= -2.0  # the rescaled targets x*gamma^(-H), H = 2u, in place
+        np.power(gamma, u, out=u)
+        u *= x
+        return bracket_ratio(gamma, u, 0)
 
     return _sample(cfg, measure)
 

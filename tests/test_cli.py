@@ -359,6 +359,8 @@ def test_plot_data_non_finite_is_one_failure_line(tmp_path: Path):
     ["--gamma", "2", "--X", "1e308"],       # turning points overflow
     ["--gamma", "1e200", "--X", "1"],       # gamma^(2i+2+H) overflows
     ["--gamma", "1.0000001", "--X", "5e-324"],  # (gamma - 1)*X underflows to 0
+    ["--gamma", "2", "--X", "5e-324"],      # x*gamma^(-H) below the smallest normal
+    ["--gamma", "1.000000000000001", "--X", "1e-300"],  # bracket index beyond 2^52
 ])
 def test_mixed_overflow_is_one_failure_line(argv, capsys):
     # the sampler's blocks run without numpy warnings; _summarize classifies

@@ -427,9 +427,42 @@ class TestMixedStrategySample:
     def test_blocks_match_one_whole_array(self, n):
         # the blocked sampler gives the summary of one whole-array sample
         for gamma, x, seed in ((2.0, 1.0, 5), (3.591121476669, 1e-150, 8)):
-            whole = simulate._summarize(
-                [simulate._mixed_ratio(gamma, x, 2.0 * uniform_block(seed, 0, n))])
+            whole = simulate._summarize([bracket_ratio(gamma, rescaled(gamma, x, seed, n), 0)])
             assert_merged(mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n)), whole)
+
+    @pytest.mark.parametrize("gamma, x, seed", [(2.0, 1.0, 5), (3.591121476669, 17.0, 8),
+                                                (1.05, 1e-200, 11), (1.001, 1e-100, 2)])
+    def test_every_sample_is_the_scalar_rule(self, gamma, x, seed, monkeypatch):
+        # each sample is the bracket rule at the rescaled target m = x*gamma^(-H),
+        # 1 + 2*gamma^(2i+2)/((gamma-1)*m) with i from bracket_index, bit for bit
+        n, blocks = _BLOCK + 100, []
+        monkeypatch.setattr(simulate, "_summarize", lambda bs: blocks.extend(b.copy() for b in bs))
+        mixed_strategy_sample(gamma, x, SimConfig(seed=seed, samples=n))
+        got = np.concatenate(blocks).tolist()
+        for m, r in zip(rescaled(gamma, x, seed, n).tolist(), got):
+            i = bracket_index(Coil(gamma), m)
+            assert r == 1.0 + 2.0 * gamma ** (2 * i + 2) / ((gamma - 1.0) * m), (gamma, x, m)
+
+    @pytest.mark.parametrize("x", [1e-200, 1e200])
+    def test_samples_within_1e15_of_mpmath(self, x, monkeypatch):
+        # at 50 digits, delta_H(x)/x = 1 + 2*gamma^(2i+2+H)/((gamma-1)*x) with
+        # gamma^(2i+H) < x <= gamma^(2i+2+H), for the sampler's own phases H
+        mpmath = pytest.importorskip("mpmath")
+        gamma, n, blocks = 1.05, 2000, []
+        monkeypatch.setattr(simulate, "_summarize", lambda bs: blocks.extend(b.copy() for b in bs))
+        mixed_strategy_sample(gamma, x, SimConfig(seed=17, samples=n))
+        with mpmath.workdps(50):
+            g, mx = mpmath.mpf(gamma), mpmath.mpf(x)
+            for u, r in zip(uniform_block(17, 0, n).tolist(), np.concatenate(blocks).tolist()):
+                h = 2 * mpmath.mpf(u)
+                i = mpmath.ceil(mpmath.log(mx) / (2 * mpmath.log(g)) - 1 - h / 2)
+                want = 1 + 2 * g ** (2 * i + 2 + h) / ((g - 1) * mx)
+                assert abs(r - want) <= 1e-15 * want, (u, r)
+
+
+def rescaled(gamma, x, seed, n):
+    """The mixed sampler's targets x*gamma^(-H), H = 2u, for the first n stream values."""
+    return x * np.power(gamma, -2.0 * uniform_block(seed, 0, n))
 
 
 # `mixed_strategy_sample` at three points, as the block merge returns them:
@@ -437,6 +470,23 @@ class TestMixedStrategySample:
 # standard error, WHOLE_ARRAY_PINNED keeps them as the whole-array summary
 # returned them.
 MIXED_PINNED = {
+    (2.0, 1.0, 7, 40000): SampleStats(
+        mean=5.318027548698101, std_error=0.008500709256265481, n=40000,
+        min=3.0000129877301775, max=8.998547326340626),
+    (3.591121476669, 17.0, 3, 3 * _BLOCK + 5): SampleStats(
+        mean=4.589044624476075, std_error=0.011405420876276535, n=49157,
+        min=1.7719214296838781, max=10.953696467422244),
+    (1.05, 1e-200, 11, 100000): SampleStats(
+        mean=43.01710993052372, std_error=0.003734506397688672, n=100000,
+        min=41.00003488800305, max=45.09998342164241),
+}
+
+# The same points as the sampler gave them while it bracketed x itself on
+# numpy powers gamma^(2i+2+H), rounding the exponent first.  That rule was off
+# by up to 4.3e-14 relative against mpmath; the rescaled bracket is within
+# 1e-15, so the two agree to POW_RULE_REL.
+POW_RULE_REL = 5e-14
+POW_RULE_PINNED = {
     (2.0, 1.0, 7, 40000): SampleStats(
         mean=5.318027548698101, std_error=0.008500709256265481, n=40000,
         min=3.0000129877301775, max=8.998547326340628),
@@ -456,6 +506,10 @@ def test_mixed_strategy_sample_is_bit_identical(point):
     assert got == MIXED_PINNED[point]
     if point in WHOLE_ARRAY_PINNED:
         assert_near(got, *WHOLE_ARRAY_PINNED[point])
+    old = POW_RULE_PINNED[point]
+    assert got.n == old.n
+    for field in ("mean", "std_error", "min", "max"):
+        assert getattr(got, field) == pytest.approx(getattr(old, field), rel=POW_RULE_REL, abs=0.0)
 
 
 # `monte_carlo_mean_arclength` at three points, as the block merge returns
@@ -486,7 +540,7 @@ def test_monte_carlo_mean_arclength_is_bit_identical(point):
 # where the block merge moved them, by 1 ulp each.
 WHOLE_ARRAY_PINNED = {
     (2.0, 1.0, 7, 40000): (5.318027548698102, 0.008500709256265481),
-    (1.05, 1e-200, 11, 100000): (43.017109930523716, 0.0037345063976886553),
+    (1.05, 1e-200, 11, 100000): (43.01710993052373, 0.0037345063976886718),
     (0.3732051316134667, 7, 40000): (7.007838849763904, 0.019197400664931405),
 }
 
@@ -503,6 +557,23 @@ def assert_merged(stats, whole):
         assert stats == whole
     assert (stats.n, stats.min, stats.max) == (whole.n, whole.min, whole.max)
     assert_near(stats, whole.mean, whole.std_error)
+
+
+def turning_point_blocks():
+    """(gamma, c, magnitudes) for 200 seeded gamma in [1.01, 9.01) and both
+    offsets c: a seeded magnitude gamma^v, v in [-6, 6), then each libm
+    turning point gamma^(2k+c), k in [-40, 40), between the doubles beside it."""
+    u = uniform_block(53, 0, 2400).tolist()
+    blocks = []
+    for g, v in zip(u[:200], u[200:]):
+        g = 1.01 + 8.0 * g
+        for c in (0, -1):
+            mags = [g ** (-6.0 + 12.0 * v)]
+            for k in range(-40, 40):
+                turn = g ** (2 * k + c)
+                mags += [math.nextafter(turn, 0.0), turn, math.nextafter(turn, math.inf)]
+            blocks.append((g, c, np.array(mags)))
+    return blocks
 
 
 class TestScanWorstRatio:
@@ -524,27 +595,53 @@ class TestScanWorstRatio:
 
     def test_kernel_matches_scalar_rule(self):
         # the kernel gives 1 + 2*gamma^(2i+2+c)/((gamma-1)*|X|) bit for bit,
-        # with i from the scalar rule: at seeded magnitudes gamma^u, at libm's
-        # turning points gamma^(2k) and gamma^(2k-1) and the doubles beside
-        # each, where the bracket is decided, in one block per gamma and side,
-        # and in one block spanning the float range in a few rows
-        u = uniform_block(53, 0, 2400).tolist()
-        blocks = []
-        for g, v in zip(u[:200], u[200:]):
-            g = 1.01 + 8.0 * g
+        # with i from the scalar rule: at seeded magnitudes and libm's turning
+        # points (turning_point_blocks), in one block spanning the float range
+        # in a few rows, and in scan-sized blocks over one and over three
+        # periods, whose tables of up to 16 entries are scanned entry by entry
+        blocks = turning_point_blocks() + [(1.01, 0, 10.0 ** np.linspace(-300.0, 300.0, 13))]
+        for g, periods in ((1.3, 1), (5.7, 1), (2.0, 3), (9.0, 3)):
             for c in (0, -1):
-                mags = [g ** (-6.0 + 12.0 * v)]
-                for k in range(-40, 40):
-                    turn = g ** (2 * k + c)
-                    mags += [math.nextafter(turn, 0.0), turn, math.nextafter(turn, math.inf)]
-                blocks.append((g, c, np.array(mags)))
-        blocks.append((1.01, 0, 10.0 ** np.linspace(-300.0, 300.0, 13)))
+                mags = g ** (c + 2.0 * periods * (uniform_block(59, 0, _BLOCK) - 0.5))
+                turns = [g ** (2 * k + c) for k in range(-(periods // 2), periods // 2 + 1)]
+                mags[:3 * len(turns)] = [t for turn in turns for t in (
+                    math.nextafter(turn, 0.0), turn, math.nextafter(turn, math.inf))]
+                blocks.append((g, c, mags))
         for g, c, mags in blocks:
             got = bracket_ratio(g, mags, c)
             for m, r in zip(mags.tolist(), got.tolist()):
                 i = bracket_index(Coil(g), m if c == 0 else -m)
                 assert r == 1.0 + 2.0 * g ** (2 * i + 2 + c) / ((g - 1.0) * m), (g, c, m)
         assert float(bracket_ratio(2.0, 3.0, 0)) == 1.0 + 2.0 * 4.0 / 3.0
+
+    def test_walk_and_closed_forms_agree_at_turning_points(self):
+        # the three coil kernels at libm's turning points and the doubles
+        # beside each: the walk and travel_distance agree to 1e-12, and
+        # bracket_ratio is the scalar rule at travel_distance's index
+        for g, c, mags in turning_point_blocks():
+            targets = mags if c == 0 else -mags
+            walked = coil_marching_distance(g, targets, CFG).tolist()
+            ratios = bracket_ratio(g, mags, c).tolist()
+            for x, m, w, r in zip(targets.tolist(), mags.tolist(), walked, ratios):
+                hit = travel_distance(Coil(g), x)
+                assert w == pytest.approx(hit.delta, rel=1e-12, abs=0.0), (g, x)
+                assert r == 1.0 + 2.0 * g ** (2 * hit.index + 2 + c) / ((g - 1.0) * m), (g, x)
+
+    def test_kernel_refuses_magnitudes_outside_its_domain(self):
+        with pytest.raises(NumericalError, match="underflow"):
+            bracket_ratio(2.0, np.array([1.0, 5e-324]), 0)
+        with pytest.raises(NumericalError, match="underflow"):
+            bracket_ratio(2.0, 0.0, -1)
+        with pytest.raises(NumericalError, match="beyond exact doubles"):
+            bracket_ratio(1.000000000000001, 1e-300, 0)
+
+    @pytest.mark.parametrize("gamma, worst", [(1e60, 1.999999998e+60),
+                                              (1e76, 1.9999999980000002e+76),
+                                              (9.6e76, 1.9199999980799998e+77)])
+    def test_huge_gamma_is_still_scanned(self, gamma, worst):
+        # the grid reaches gamma^(-3) and the table gamma^4: the kernel's
+        # domain checks refuse none of it
+        assert scan_worst_ratio(gamma, 1000) == worst
 
     def test_point_budget(self):
         with pytest.raises(ValueError):
