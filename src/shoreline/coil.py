@@ -110,11 +110,6 @@ class MeanOptima(NamedTuple):
 _TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
-def _turn_offset(target: float) -> int:
-    # Turning points sit at +gamma^(2i) and -gamma^(2i-1): offset c in gamma^(2i+c).
-    return 0 if target > 0.0 else -1
-
-
 def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
     """The bracket rule of `bracket_index`: (i, g^(2i+c), g^(2i+2+c)) for
     magnitude ``xa`` at offset ``c``, given r = ln(xa)/(2 ln g).  Each power
@@ -122,8 +117,8 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
 
     A target is refused by the walk's two rules, whatever nudges follow: an
     index |2i| >= 2^53 on the ceiling guess, where exponents are rounded, and
-    a path that leaves from a subnormal turning point g^(2i+1+c) = lo*g,
-    which has lost the digits of delta.  A nudge that leaves the power
+    a path that leaves from a subnormal turning point g^(2i+1+c), as the walk
+    reads it, which has lost the digits of delta.  A nudge that leaves the power
     unchanged happens only among subnormals, so it stops there and meets the
     second rule, instead of one of up to ~1e12 more nudges.  A power past the
     float range is the walk's overflow, a NumericalError."""
@@ -145,7 +140,7 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
                 break
     except OverflowError:
         raise NumericalError("overflow: target beyond representable sweeps") from None
-    if lo * g < _TINY:
+    if lo < _TINY and g ** (2 * i + 1 + c) < _TINY:  # g^(2i+1+c) > lo, normal if lo is
         raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
     return i, lo, hi
 
@@ -156,7 +151,8 @@ def _target_bracket(coil: Coil, target: float) -> Tuple[int, float, float]:
     g, xa = coil.gamma, abs(target)
     if not 0.0 < xa < math.inf:
         raise ValueError(f"X must be finite and nonzero (off the origin), not {target!r}")
-    return _bracket(g, xa, _turn_offset(target), math.log(xa) / (2.0 * math.log(g)))
+    c = 0 if target > 0.0 else -1  # turning points +gamma^(2i), -gamma^(2i-1): gamma^(2i+c)
+    return _bracket(g, xa, c, math.log(xa) / (2.0 * math.log(g)))
 
 
 def bracket_index(coil: Coil, target: float) -> int:
@@ -195,23 +191,25 @@ def _turning_points(gamma: float, exponents: np.ndarray) -> np.ndarray:
     return np.array(powers)
 
 
-def bracket_ratio(gamma: float, magnitude, offset: int):
+def bracket_ratio(gamma: float, magnitude, offset: int, walk_rule: bool = True):
     """delta/|X| = 1 + 2*gamma^(2i+2+c)/((gamma-1)*|X|) for targets of
     magnitude ``magnitude`` (an array or a float) whose turning points sit
     at gamma^(2i+c), with the integer c = ``offset``: 0 for positive
     targets, -1 for negative ones.
 
-    The vector form of `bracket_index`, bit for bit that formula with its
-    i while the index guess ceil(ln|X|/(2 ln gamma) - 1 - c/2) is off by at
+    The vector form of `bracket_index`, bit for bit that formula with its i
+    while the index guess ceil(ln|X|/(2 ln gamma) - 1 - c/2) is off by at
     most one, true while |ln|X|/ln(gamma)| < 2^48.  A magnitude below the
-    smallest normal double, or a guess beyond +-2^52, is a NumericalError.
-    Each turning point is a libm power, computed once per call in a table
-    over the guesses [min - 1, max + 2], or, when that span is longer than
-    the rows, around each distinct guess.  The upper power gamma^(2i+2+c)
-    is the first table entry >= |X|, so the inequalities decide, as in
-    `_bracket`; a table of up to 16 entries is scanned entry by entry, a
-    longer one bisected by `np.searchsorted`.
-    """
+    smallest normal double, or a guess beyond +-2^52, is a NumericalError,
+    and so, under ``walk_rule``, is a path that leaves from a subnormal
+    turning point, as in `_bracket` (the worst-ratio scan reads the ratio
+    itself, not a walk, and turns it off).  Each turning point is a libm
+    power, computed once per call in a table over the guesses
+    [min - 1, max + 2], or, when that span is longer than the rows, around
+    each distinct guess.  The upper power gamma^(2i+2+c) is the first table
+    entry >= |X|, so the inequalities decide, as in `_bracket`; a table of
+    up to 16 entries is scanned entry by entry, a longer one bisected by
+    `np.searchsorted`."""
     magnitude = np.asarray(magnitude, dtype=float)
     least, most = magnitude.min(), magnitude.max()
     if not least >= _TINY:
@@ -227,6 +225,9 @@ def bracket_ratio(gamma: float, magnitude, offset: int):
         guess = np.ceil(np.log(magnitude) * scale - shift).astype(np.int64)
         ks = np.unique(np.unique(guess)[:, None] + np.arange(-1, 3))
     table = _turning_points(gamma, 2 * ks + offset)
+    up = np.searchsorted(table, least)  # the least magnitude's upper turning point
+    if walk_rule and table[up - 1] < _TINY and gamma ** (2 * int(ks[up]) - 1 + offset) < _TINY:
+        raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
     if table.size > 16:
         ratio = table.take(np.searchsorted(table, magnitude))
     else:  # each entry below a magnitude passes it the next one up

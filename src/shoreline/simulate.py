@@ -2,9 +2,10 @@
 
 Nothing here trusts the closed forms it is used to check: a single spiral
 first contact is found by marching the trajectory against the line and
-refining the detected sign change with `find_root`; coil travel distances
-are found by walking the zig-zag segments, for a whole array of targets at
-once, and solving each linear piece exactly; the Monte Carlo drivers
+refining the detected sign change with `find_root`; coil travel distances,
+for an array of targets at once, by testing one window of zig-zag segments
+(its width a proven bound) on the libm turning points `bracket_ratio` reads
+and solving the first enclosing one exactly; the Monte Carlo drivers
 average primitive measurements over seeded, reproducible random draws.
 
 The spiral Monte Carlo driver needs no march.  The spiral can reach the
@@ -51,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .coil import _check_gamma, bracket_ratio
+from .coil import _TINY, _check_gamma, _turning_points, bracket_ratio
 from .numerics import (Bracket, NumericalError, _check_positive, _golden_section, find_root,
                        uniform_block)
 from .spiral_geometry import Spiral, arclength, contact_distance, tangent_contact
@@ -395,14 +396,12 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
                            cfg: SimConfig) -> float | np.ndarray:
     """Travel distance to each signed target in ``x`` (a float gives a float)
     by walking the coil's segments; ``cfg`` is unused.  Segment k sweeps from
-    (-gamma)^k to (-gamma)^(k+1), and the first one whose end points enclose
-    x is solved exactly.  Rows start at k0 = floor(r) - 2, r = ln|x|/ln(gamma)
-    less an 8-ulp rounding bound: segment k reaches at most gamma^(k+1) and
-    k0 <= r - 2, so no earlier segment reaches |x|, with gamma^2 to spare.
-    Turning points come from Python's ``**`` (libm pow, as in `bracket_index`)
-    where rows walk, for |k| < 2^53 only: past it a double k is always even.
-    A segment that starts at a subnormal or zero turning point has lost the
-    digits of delta, so a target it reaches raises."""
+    (-gamma)^k to (-gamma)^(k+1); the first whose ends enclose x is solved
+    exactly.  Each row tests one window of segments from k0 = floor(r - e) - 2,
+    before which none reaches |x| (r = ln|x|/ln(gamma), e = 2^-49*|r| bounds
+    its rounding), on `bracket_ratio`'s libm turning points (`_turning_points`)
+    negated at odd k as (-gamma)**k is, for |k| < 2^53 (past it k is even).  A
+    hit segment ending past the float range or starting subnormal raises."""
     _check_gamma(gamma)
     xs = np.asarray(x, dtype=float).reshape(-1)
     if not xs.all():
@@ -410,33 +409,32 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
     if not np.isfinite(xs).all():
         raise NumericalError("non-finite target")
     r = np.log(np.abs(xs)) / math.log(gamma)
-    first, group = np.unique(np.floor(r - 2.0 ** -49 * np.abs(r)).astype(np.int64) - 2,
-                             return_inverse=True)
-    if max(-first[0], first[-1] + 1000) >= 2 ** 53:
+    e = 2.0 ** -49 * np.abs(r)
+    first, group = np.unique(np.floor(r - e).astype(np.int64) - 2, return_inverse=True)
+    # Segment m - 1 encloses x if (-1)^m*x > 0 and pow(gamma, m) >= |x|: once m >= rho + d, for
+    # rho = ln|x|/ln(gamma) exact and d = -ln(1 - 2^-52)/ln(gamma) < 2^-51/ln(gamma), as pow errs
+    # by < 2^-52.  So the first hit h <= ceil(r + e + d), and h - k0 <= floor(2e + d) + 4.
+    width = 5 + math.floor(2.0 * float(e.max()) + 2.0 ** -51 / math.log(gamma))
+    if max(-first[0], first[-1] + width) >= 2 ** 53:
         raise NumericalError("turning-point index beyond exact doubles")
-    # Pass 0 only reads the turning points at k0 (a NaN start encloses no x);
-    # as in scalar float arithmetic, an overflow gives inf or NaN.
-    deltas, rows, start = np.empty(xs.size), np.arange(xs.size), np.full(xs.size, np.nan)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for step in range(1001):
-            live = np.flatnonzero(np.bincount(group, minlength=first.size))
-            end = np.empty(first.size)
-            try:
-                end[live] = [(-gamma) ** k for k in (first[live] + step).tolist()]
-            except OverflowError:
-                raise NumericalError("overflow: target beyond representable sweeps") from None
-            end, x_rows = end[group], xs[rows]
-            tau = (x_rows - start) / (end - start)
-            hit = (np.minimum(start, end) <= x_rows) & (x_rows <= np.maximum(start, end))
-            mag = np.abs(start[hit])
-            if (mag < np.finfo(float).tiny).any():
-                raise NumericalError("underflow: a target's segment starts at a "
-                                     "subnormal turning point")
-            deltas[rows[hit]] = (gamma + 1.0) * mag * (1.0 / (gamma - 1.0) + tau[hit])
-            rows, group, start = rows[~hit], group[~hit], end[~hit]
-            if not rows.size:
-                return float(deltas[0]) if np.ndim(x) == 0 else deltas
-    raise NumericalError("no segment reached the target")
+    ks = first + np.arange(width + 1)[:, None]  # k by position and k0; an overflow reads +-inf
+    turns = _turning_points(gamma, ks.ravel()).reshape(ks.shape) * np.where(ks % 2, -1.0, 1.0)
+    low, high = np.minimum(turns[:-1], turns[1:]), np.maximum(turns[:-1], turns[1:])
+    at = np.full(xs.size, -1)  # first.size times each row's first hit in the window
+    for j in range(width - 1, -1, -1):  # the last one written is the first
+        np.copyto(at, j * first.size, where=(low[j][group] <= xs) & (xs <= high[j][group]))
+    if (at < 0).any():
+        raise NumericalError("no segment reached the target")
+    at += group  # the hit segment's start in the flattened table
+    start, end = turns.take(at), turns.take(at + first.size)
+    if np.isinf(end).any():
+        raise NumericalError("overflow: target beyond representable sweeps")
+    mag = np.abs(start)
+    if (mag < _TINY).any():
+        raise NumericalError("underflow: a target's segment starts at a subnormal turning point")
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = (gamma + 1.0) * mag * (1.0 / (gamma - 1.0) + (xs - start) / (end - start))
+    return float(deltas[0]) if np.ndim(x) == 0 else deltas
 
 
 def coil_walk_sample(gamma: float, x0: float, cfg: SimConfig) -> SampleStats:
@@ -503,15 +501,15 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
         raise ValueError("require points >= 100")
     ks = np.array([-1.0, 0.0, 1.0])
     maxima = []
-    # Positive targets bracket at offset 0, negative ones at offset -1.
+    ratio = functools.partial(bracket_ratio, gamma, walk_rule=False)  # offset 0: X > 0, -1: X < 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for exponents in _exponent_blocks(points // 2):
             grid = np.power(gamma, exponents, out=exponents)
             if not grid[-1] < math.inf:
                 raise NumericalError(f"scan grid at gamma {gamma!r} is beyond the float range")
-            maxima += [bracket_ratio(gamma, grid, 0).max(), bracket_ratio(gamma, grid, -1).max()]
-        maxima += [bracket_ratio(gamma, gamma ** (2.0 * ks) * (1.0 + 1e-9), 0).max(),
-                   bracket_ratio(gamma, gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9), -1).max()]
+            maxima += [ratio(grid, 0).max(), ratio(grid, -1).max()]
+        maxima += [ratio(gamma ** (2.0 * ks) * (1.0 + 1e-9), 0).max(),
+                   ratio(gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9), -1).max()]
     worst = float(np.max(maxima))
     if not math.isfinite(worst):
         raise NumericalError(f"scanned worst ratio {worst!r} at gamma {gamma!r} is not finite")

@@ -127,25 +127,21 @@ class TestCoilCommands:
 
 
 class TestSimulateCommands:
-    def test_spiral_small(self):
-        rec = json.loads(run_cli("simulate", "spiral", "--kappa", "0.3732051316",
-                                 "-n", "20000", "--seed", "7",
-                                 "--format", "json").stdout)
-        res = rec["results"]
+    def test_spiral_small(self, capsys):
+        res = _json_results(capsys, "simulate", "spiral", "--kappa", "0.3732051316",
+                            "-n", "20000", "--seed", "7")
         assert res["reference"] == pytest.approx(7.0321857865, abs=1e-7)
         assert abs(res["z_score"]) <= 3.0
 
-    def test_mixed_z_bound(self):
-        rec = json.loads(run_cli("simulate", "mixed", "--gamma", "2", "-n", "50000",
-                                 "--seed", "7", "--format", "json").stdout)
-        res = rec["results"]
+    def test_mixed_z_bound(self, capsys):
+        res = _json_results(capsys, "simulate", "mixed", "--gamma", "2", "-n", "50000",
+                            "--seed", "7")
         assert res["reference"] == pytest.approx(1.0 + 3.0 / math.log(2.0), rel=1e-12)
         assert abs(res["z_score"]) <= 3.0
 
-    def test_coil_sampler(self):
-        rec = json.loads(run_cli("simulate", "coil", "--gamma", "2", "--X", "1.7",
-                                 "-n", "4000", "--seed", "3", "--format", "json").stdout)
-        res = rec["results"]
+    def test_coil_sampler(self, capsys):
+        res = _json_results(capsys, "simulate", "coil", "--gamma", "2", "--X", "1.7",
+                            "-n", "4000", "--seed", "3")
         assert abs(res["z_score"]) <= 3.0
 
     @pytest.mark.parametrize("target", ["coil", "mixed"])
@@ -513,9 +509,9 @@ class TestOutputFormats:
         parsed = json.loads(emit(rec, "json"))
         assert parsed == rec.to_dict()
 
-    def test_csv_shape(self):
-        cp = run_cli("coil", "minmax", "--format", "csv")
-        header, row = cp.stdout.splitlines()
+    def test_csv_shape(self, capsys):
+        assert main(["coil", "minmax", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
         assert header.startswith("command,")
         assert len(header.split(",")) == len(row.split(","))
         # 17-significant-digit round-trip: values reparse exactly

@@ -5,7 +5,7 @@ import pytest
 
 from shoreline import coil, golden
 from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket_index,
-                            mixed_expected_ratio, optimal_minmax_coil,
+                            bracket_ratio, mixed_expected_ratio, optimal_minmax_coil,
                             optimal_minmean_coil, optimal_mixed, ratio_extrema,
                             travel_distance, worst_case_ratio)
 from shoreline.numerics import NumericalError, find_root, integrate, lambert_w0, uniform_block
@@ -153,6 +153,23 @@ def test_closed_form_and_walk_refuse_alike():
         x = math.copysign(10.0 ** (-323.5 + 631.0 * u[j + 1]), u[j + 2] - 0.5)
         assert (answers(lambda: travel_distance(Coil(g), x).delta)
                 == answers(lambda: coil_marching_distance(g, x, WALK_CFG))), (g, x)
+
+
+@pytest.mark.parametrize("g", [1.5, 2.0, 3.7, 7.0, 40.0, 1e10])
+def test_kernel_refuses_where_the_scalar_rule_does(g):
+    # 400 magnitudes in [tiny, gamma*tiny), both signs: bracket_ratio refuses
+    # a path that leaves from a subnormal turning point exactly where
+    # travel_distance does, and elsewhere is the scalar rule bit for bit
+    for m in (np.finfo(float).tiny * g ** np.linspace(0.0, 1.0, 400, endpoint=False)).tolist():
+        for c in (0, -1):
+            try:
+                i = travel_distance(Coil(g), m if c == 0 else -m).index
+            except NumericalError:
+                with pytest.raises(NumericalError, match="^underflow"):
+                    bracket_ratio(g, m, c)
+                continue
+            assert float(bracket_ratio(g, m, c)) == 1.0 + 2.0 * g ** (2 * i + 2 + c) / (
+                (g - 1.0) * m), (g, c, m)
 
 
 # A target whose upper turning point is past the float range: X < 0 at

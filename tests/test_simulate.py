@@ -340,17 +340,27 @@ class TestCoilMarching:
 
     def test_start_margin_near_one(self):
         # at gamma = 1 + 1e-12, |r| = |ln X / ln gamma| is near 7e14, where
-        # its rounding approaches one segment; a walk from 40 segments
-        # earlier finds the same first hit
-        g = 1.0 + 1e-12
-        targets = [1e-300, -1e-300, 1e290, -1e290]
-        walked = coil_marching_distance(g, np.array(targets), CFG)
-        for x, delta in zip(targets, walked.tolist()):
-            start = math.floor(math.log(abs(x)) / math.log(g)) - 40
-            assert delta == _reference_walk(g, x, start)
-            assert delta == pytest.approx(travel_distance(Coil(g), x).delta, rel=1e-14)
+        # its rounding approaches one segment; at gamma = 1 + 1e-13 and
+        # |X| = 1e+-290 it is near 6.7e15 ~ 2^52.6, where the first hit lies
+        # 14-16 segments past k0, beyond a five-segment window; a walk from
+        # 40 segments earlier finds the same first hit
+        for g, targets in ((1.0 + 1e-12, [1e-300, -1e-300, 1e290, -1e290]),
+                           (1.0 + 1e-13, [1e-290, -1e-290, 1e290, -1e290])):
+            walked = coil_marching_distance(g, np.array(targets), CFG)
+            for x, delta in zip(targets, walked.tolist()):
+                start = math.floor(math.log(abs(x)) / math.log(g)) - 40
+                assert delta == _reference_walk(g, x, start), (g, x)
+                assert delta == pytest.approx(travel_distance(Coil(g), x).delta, rel=1e-14)
         # the distance itself is beyond the float range at |X| = 1e300
+        g = 1.0 + 1e-12
         assert coil_marching_distance(g, np.array([1e300, -1e300]), CFG).tolist() == [math.inf] * 2
+
+    def test_row_without_a_hit_raises(self, monkeypatch):
+        # the window's width is proven wide enough; a row that still finds no
+        # enclosing segment in it raises instead of reading an arbitrary one
+        monkeypatch.setattr(simulate, "_turning_points", lambda gamma, ks: np.zeros(ks.size))
+        with pytest.raises(NumericalError, match="^no segment reached the target"):
+            coil_marching_distance(2.0, np.array([1.0, -3.0]), CFG)
 
 
 def _reference_walk(gamma: float, x: float, k: int) -> float:
