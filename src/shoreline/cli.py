@@ -10,8 +10,9 @@ Grammar:
                        --range LO:HI [--points INT] --out PATH
     shoreline check
 
-FMT is text (default, 10 significant digits), json, or csv (17 significant
-digits, shortest round-trip).  Exit codes: 0 success, 1 numerical failure,
+FMT is text (default: results and diagnostics to 10 significant digits, each
+param.* input shortest round-trip), json, or csv (17 significant digits,
+shortest round-trip).  Exit codes: 0 success, 1 numerical failure,
 2 usage error.
 """
 
@@ -93,7 +94,8 @@ def emit(record: OutputRecord, fmt: str) -> str:
             vals.append(_fmt_csv(v))
         return ",".join(keys) + "\n" + ",".join(str(v) for v in vals) + "\n"
     lines = [f"command = {record.command}"]
-    lines += [f"param.{k} = {_fmt_text(v)}" for k, v in record.parameters.items()]
+    # each input as given: 10 digits would print --gamma 1.0000000000001 as 1
+    lines += [f"param.{k} = {_fmt_csv(v)}" for k, v in record.parameters.items()]
     lines += [f"{k} = {_fmt_text(v)}" for k, v in record.results.items()]
     lines += [f"diag.{k} = {_fmt_text(v)}" for k, v in record.diagnostics.items()]
     return "\n".join(lines) + "\n"

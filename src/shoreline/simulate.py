@@ -26,9 +26,12 @@ tangency, s = 0), and each sample takes a cubic Hermite guess from its cell.
 The table only steers: a guess is kept when the contact sign test shows a
 sign change of g within _REFINE_TOL/2 of it, the guarantee bisection gives,
 and any other row is bisected on its window bracket by `_bisect_contacts`.
-The scalar reference march `spiral_first_contact` shares neither the sign
-test nor the bisection: it reads the product-form distance
-`contact_distance` and stays the independent check.
+The table and the sign test read ln cos t from one formula, `_log_cos`:
+-log1p(tan^2 t)/2, and -inf wherever |t| > pi/2, on both sides of the
+window, so the sign test is False exactly where cos t <= 0.  The scalar
+reference march `spiral_first_contact` shares neither the sign test nor the
+bisection: it reads the product-form distance `contact_distance` and stays
+the independent check.
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
@@ -175,19 +178,37 @@ def _summarize(blocks: Iterable[np.ndarray]) -> SampleStats:
     return SampleStats(mean=mean, std_error=se, n=n, min=lo, max=hi)
 
 
+def _log_cos(t, out=None):
+    """ln cos t as -log1p(tan(t)^2)/2, elementwise, into ``out`` (which may be
+    ``t``; a new array when not given, 0-d for a float).  It is -inf wherever
+    |t| > 0.5*math.pi, on both sides, as past the pole tan is finite again:
+    among doubles that is exactly where cos t <= 0 (cos(+-1.5707963267948966)
+    = 6.1e-17, and the next double outward gives -1.6e-16).  NaN stays NaN.
+    It is within a few ulps relative, also near t = 0, where ln(cos t) is only
+    accurate absolutely; numpy 2.4 vectorizes float64 tan and log1p, not cos."""
+    outside = np.abs(t) > 0.5 * math.pi  # read before ``out`` is written
+    g = np.tan(t, out=np.empty(np.shape(t)) if out is None else out)
+    g *= g
+    np.log1p(g, out=g)
+    g *= -0.5
+    np.copyto(g, -np.inf, where=outside)
+    return g
+
+
 def _on_or_past(kappa: float, thetas, omegas, out=(None, None, None)):
     """The contact sign test, d(theta) >= 0, elementwise.
 
-    It reads the log distance kappa*theta + ln cos(theta - omega), which has
-    the sign of d = e^(kappa*theta) cos(theta - omega) - 1 where the cosine
-    is positive and never overflows; where the cosine is not positive d < 0,
-    and the NaN or -inf logarithm compares False.  So a bracket may reach
-    back to a window edge, omega - pi/2, as the Monte Carlo window bracket
-    does.  ``out`` may name buffers for the log distance, for kappa*theta
-    (``thetas`` itself, which is then overwritten) and for the result."""
+    It reads the log distance kappa*theta + `_log_cos`(theta - omega), which
+    has the sign of d = e^(kappa*theta) cos(theta - omega) - 1 where the
+    cosine is positive and never overflows; where the cosine is not positive
+    d < 0, and the -inf logarithm (or NaN) compares False.  So a bracket may
+    reach back to a window edge, omega - pi/2, as the Monte Carlo window
+    bracket does.  ``out`` may name buffers for the log distance, for
+    kappa*theta (``thetas`` itself, which is then overwritten) and for the
+    result."""
     g, scaled, result = out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.log(np.cos(np.subtract(thetas, omegas, out=g), out=g), out=g)
+    with np.errstate(invalid="ignore"):
+        g = _log_cos(np.subtract(thetas, omegas, out=g), out=g)
         g += np.multiply(kappa, thetas, out=scaled)
         return np.greater_equal(g, 0.0, out=result)
 
@@ -226,9 +247,10 @@ def _inverse_table(kappa: float) -> _InverseTable:
     grid of t (`_FRACTION`: uniform, plus points approaching -pi/2
     geometrically, where t falls fast as s grows at large kappa) and takes
     a few Newton steps, kept inside [-pi/2, atan(kappa)]; dt/ds = -2s/H'(t),
-    and -sqrt(2/(1 + kappa^2)) at the peak.  A level whose root lies closer
-    to -pi/2 than a double resolves stays at -pi/2, which is then the
-    contact to rounding.  A kappa whose tau*kappa^2 overflows is a
+    and -sqrt(2/(1 + kappa^2)) at the peak.  H reads ln cos t from
+    `_log_cos`, as the sign test does, and H'(t) = kappa - tan t.  A level
+    whose root lies closer to -pi/2 than a double resolves stays at -pi/2,
+    which is then the contact to rounding.  A kappa whose tau*kappa^2 overflows is a
     NumericalError: the table's steps and the arclength factor are not
     finite there."""
     if not math.isfinite(math.tau * kappa * kappa):
@@ -240,10 +262,10 @@ def _inverse_table(kappa: float) -> _InverseTable:
     level = h_max - s * s
     grid = -0.5 * math.pi + (top + 0.5 * math.pi) * _FRACTION
     with np.errstate(divide="ignore", invalid="ignore"):
-        grid_s = np.sqrt(np.maximum(h_max - kappa * grid - np.log(np.cos(grid)), 0.0))
+        grid_s = np.sqrt(np.maximum(h_max - kappa * grid - _log_cos(grid), 0.0))
         t = np.interp(s, grid_s[::-1], grid[::-1])
         for _ in range(4):
-            t = t - (kappa * t + np.log(np.cos(t)) - level) / (kappa - np.tan(t))
+            t = t - (kappa * t + _log_cos(t) - level) / (kappa - np.tan(t))
             t = np.clip(t, -0.5 * math.pi, top)
         t[0] = top
         slope = -2.0 * s / (kappa - np.tan(t))
@@ -400,8 +422,11 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
     exactly.  Each row tests one window of segments from k0 = floor(r - e) - 2,
     before which none reaches |x| (r = ln|x|/ln(gamma), e = 2^-49*|r| bounds
     its rounding), on `bracket_ratio`'s libm turning points (`_turning_points`)
-    negated at odd k as (-gamma)**k is, for |k| < 2^53 (past it k is even).  A
-    hit segment ending past the float range or starting subnormal raises."""
+    negated at odd k as (-gamma)**k is, for |k| < 2^53 (past it k is even).
+    The table holds one window per k0 in [min k0, max k0], indexed by
+    k0 - min k0, or, when that span is longer than the rows, one per distinct
+    k0.  A hit segment ending past the float range or starting subnormal
+    raises."""
     _check_gamma(gamma)
     xs = np.asarray(x, dtype=float).reshape(-1)
     if not xs.all():
@@ -410,7 +435,12 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
         raise NumericalError("non-finite target")
     r = np.log(np.abs(xs)) / math.log(gamma)
     e = 2.0 ** -49 * np.abs(r)
-    first, group = np.unique(np.floor(r - e).astype(np.int64) - 2, return_inverse=True)
+    k0 = np.floor(r - e).astype(np.int64) - 2
+    least, most = int(k0.min()), int(k0.max())
+    if most - least < xs.size:  # as `bracket_ratio` builds its table
+        first, group = np.arange(least, most + 1), np.subtract(k0, least, out=k0)
+    else:  # a few rows over a wide span
+        first, group = np.unique(k0, return_inverse=True)
     # Segment m - 1 encloses x if (-1)^m*x > 0 and pow(gamma, m) >= |x|: once m >= rho + d, for
     # rho = ln|x|/ln(gamma) exact and d = -ln(1 - 2^-52)/ln(gamma) < 2^-51/ln(gamma), as pow errs
     # by < 2^-52.  So the first hit h <= ceil(r + e + d), and h - k0 <= floor(2e + d) + 4.

@@ -518,6 +518,19 @@ class TestOutputFormats:
         gamma = float(row.split(",")[header.split(",").index("gamma")])
         assert gamma == pytest.approx(2.0, abs=1e-9)
 
+    def test_text_prints_each_input_as_given(self, capsys):
+        # param.* lines give each input shortest round-trip, so a gamma that
+        # 10 significant digits would print as 1 reads back exactly; results
+        # keep 10 significant digits
+        argv = ["simulate", "coil", "--gamma", "1.0000000000001", "--X", "1e290", "-n", "10",
+                "--seed", "3"]
+        assert main(argv) == 0
+        fields = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (fields["param.gamma"], fields["param.X"]) == ("1.0000000000001", "1e+290")
+        assert (fields["param.n"], fields["param.seed"]) == ("10", "3")
+        assert float(fields["param.gamma"]) == 1.0000000000001
+        assert fields["mean"] == "2.001599834e+13"
+
     def test_usage_error_exit_code(self):
         assert run_cli("spiral", "bogus").returncode == 2
         assert run_cli().returncode == 2

@@ -12,7 +12,8 @@ from shoreline.coil import (Coil, MixedStrategy, average_ratio, bracket_index, b
                             mixed_expected_ratio, travel_distance, worst_case_ratio)
 from shoreline.numerics import NumericalError, uniform_block
 from shoreline.simulate import (_BLOCK, _REFINE_TOL, SampleStats, SimConfig,
-                                _bisect_contacts, _first_contacts, _inverse_table,
+                                _bisect_contacts, _first_contacts, _inverse_table, _log_cos,
+                                _on_or_past,
                                 coil_marching_distance, coil_walk_sample, mixed_strategy_sample,
                                 monte_carlo_mean_arclength, scan_worst_ratio,
                                 spiral_first_contact)
@@ -211,6 +212,69 @@ class TestBisectContacts:
                     d = [math.exp(k * x) * math.cos(x - w) - 1.0
                          for x in (t - 0.5 * _REFINE_TOL, t + 0.5 * _REFINE_TOL)]
                     assert d[0] < 0.0 <= d[1]
+
+
+def _libm_on_or_past(kappa: float, theta: float, omega: float) -> bool:
+    """The contact sign test on libm's cosine: False wherever cos <= 0 or NaN."""
+    c = math.cos(theta - omega)
+    return c > 0.0 and kappa * theta + math.log(c) >= 0.0
+
+
+class TestLogCos:
+    HALF = 0.5 * math.pi
+
+    def test_sign_test_refuses_both_sides_of_the_window(self):
+        # at t = +-pi/2 (the doubles), the next doubles outward, past both
+        # poles, where tan is finite again, and at NaN, the sign test is the
+        # one on libm's cosine, for arrays and for floats; theta = t at
+        # omega = 0, and omega + t at seeded omegas.  At kappa = 1e12 the
+        # certificate's upper probe atan(kappa) + _REFINE_TOL/2 lies past pi/2
+        # while kappa*theta is far above ln cos there
+        h = self.HALF
+        ts = [h, -h, math.nextafter(h, math.inf), math.nextafter(-h, -math.inf),
+              2.0, -2.0, 3.0, -3.0, math.nan]
+        u = uniform_block(37, 0, 16).tolist()
+        cases = []
+        for kappa, w in zip([10.0 ** (-1.3 + 3.8 * v) for v in u[:8]], [8.0 * v for v in u[8:]]):
+            rows = [(t, 0.0) for t in ts] + [(w + t, w) for t in ts] + [(1.0, math.nan)]
+            cases.append((kappa, rows))
+        top = math.atan(1e12)
+        cases.append((1e12, [(0.3 + top + s * 0.5 * _REFINE_TOL, 0.3) for s in (-1.0, 1.0)]))
+        unguarded = []  # the sides of the rows that a tan form without its guard would pass
+        for kappa, rows in cases:
+            thetas, omegas = map(np.array, zip(*rows))
+            want = [_libm_on_or_past(kappa, th, w) for th, w in rows]
+            assert _on_or_past(kappa, thetas, omegas).tolist() == want, kappa
+            assert [bool(_on_or_past(kappa, th, w)) for th, w in rows] == want, kappa
+            unguarded += [math.copysign(1.0, th - w) for th, w in rows
+                          if kappa * th - 0.5 * math.log1p(math.tan(th - w) ** 2) >= 0.0
+                          and not math.cos(th - w) > 0.0]
+        assert unguarded.count(1.0) >= 3 and unguarded.count(-1.0) >= 3
+
+    def test_matches_libm_to_a_few_ulps(self):
+        # ln cos t against libm's ln(cos t) on a seeded grid over [-pi/2,
+        # pi/2] with t = 0 and both ends: within 4 eps*max(|ln cos t|, 1)
+        # (1.0 measured); near t = 0 both are absolute, not relative
+        h = self.HALF
+        t = np.concatenate(([0.0, h, -h], -h + math.pi * uniform_block(41, 0, 20_000)))
+        got = _log_cos(t)
+        want = np.array([math.log(math.cos(x)) for x in t.tolist()])
+        scale = np.maximum(np.abs(want), 1.0) * np.finfo(float).eps
+        assert (np.abs(got - want) <= 4.0 * scale).all()
+
+    def test_relative_error_against_mpmath(self):
+        # ln cos t to within 4 ulps of a 40-digit value (2.25 measured), at
+        # seeded t over [-pi/2, pi/2], both ends and |t| down to 1e-12, where
+        # ln(cos t) keeps no relative digits (cos t rounds to 1 below |t| of
+        # about 1e-8)
+        mpmath = pytest.importorskip("mpmath")
+        h = self.HALF
+        small = 10.0 ** (-12.0 + 12.0 * uniform_block(44, 0, 200))
+        t = np.concatenate(([h, -h], -h + math.pi * uniform_block(43, 0, 2000), small, -small))
+        with mpmath.workdps(40):
+            for x, got in zip(t.tolist(), _log_cos(t).tolist()):
+                exact = mpmath.log(mpmath.cos(mpmath.mpf(x)))
+                assert abs(got - exact) <= 4.0 * math.ulp(float(exact)), x
 
 
 class TestMonteCarloMeanArclength:
