@@ -110,6 +110,12 @@ class MeanOptima(NamedTuple):
 _TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
+def _check_departure(start: float) -> None:
+    """The walk's rule: no path leaves from a subnormal turning point ``start``."""
+    if start < _TINY:
+        raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
+
+
 def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
     """The bracket rule of `bracket_index`: (i, g^(2i+c), g^(2i+2+c)) for
     magnitude ``xa`` at offset ``c``, given r = ln(xa)/(2 ln g).  Each power
@@ -117,11 +123,10 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
 
     A target is refused by the walk's two rules, whatever nudges follow: an
     index |2i| >= 2^53 on the ceiling guess, where exponents are rounded, and
-    a path that leaves from a subnormal turning point g^(2i+1+c), as the walk
-    reads it, which has lost the digits of delta.  A nudge that leaves the power
-    unchanged happens only among subnormals, so it stops there and meets the
-    second rule, instead of one of up to ~1e12 more nudges.  A power past the
-    float range is the walk's overflow, a NumericalError."""
+    `_check_departure` at g^(2i+1+c).  A nudge that leaves the power unchanged
+    happens only among subnormals, so it stops there and meets the second
+    rule, instead of one of up to ~1e12 more nudges.  A power past the float
+    range is the walk's overflow, a NumericalError."""
     i = math.ceil(r - (1.0 + 0.5 * c))
     if not -2 ** 52 < i < 2 ** 52:  # |2i| < 2^53
         raise NumericalError("turning-point index beyond exact doubles")
@@ -140,8 +145,8 @@ def _bracket(g: float, xa: float, c: int, r: float) -> Tuple[int, float, float]:
                 break
     except OverflowError:
         raise NumericalError("overflow: target beyond representable sweeps") from None
-    if lo < _TINY and g ** (2 * i + 1 + c) < _TINY:  # g^(2i+1+c) > lo, normal if lo is
-        raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
+    if lo < _TINY:  # the departure g^(2i+1+c) > lo is normal if lo is
+        _check_departure(g ** (2 * i + 1 + c))
     return i, lo, hi
 
 
@@ -191,7 +196,7 @@ def _turning_points(gamma: float, exponents: np.ndarray) -> np.ndarray:
     return np.array(powers)
 
 
-def bracket_ratio(gamma: float, magnitude, offset: int, walk_rule: bool = True):
+def bracket_ratio(gamma: float, magnitude, offset: int):
     """delta/|X| = 1 + 2*gamma^(2i+2+c)/((gamma-1)*|X|) for targets of
     magnitude ``magnitude`` (an array or a float) whose turning points sit
     at gamma^(2i+c), with the integer c = ``offset``: 0 for positive
@@ -199,17 +204,15 @@ def bracket_ratio(gamma: float, magnitude, offset: int, walk_rule: bool = True):
 
     The vector form of `bracket_index`, bit for bit that formula with its i
     while the index guess ceil(ln|X|/(2 ln gamma) - 1 - c/2) is off by at
-    most one, true while |ln|X|/ln(gamma)| < 2^48.  A magnitude below the
-    smallest normal double, or a guess beyond +-2^52, is a NumericalError,
-    and so, under ``walk_rule``, is a path that leaves from a subnormal
-    turning point, as in `_bracket` (the worst-ratio scan reads the ratio
-    itself, not a walk, and turns it off).  Each turning point is a libm
-    power, computed once per call in a table over the guesses
-    [min - 1, max + 2], or, when that span is longer than the rows, around
-    each distinct guess.  The upper power gamma^(2i+2+c) is the first table
-    entry >= |X|, so the inequalities decide, as in `_bracket`; a table of
-    up to 16 entries is scanned entry by entry, a longer one bisected by
-    `np.searchsorted`."""
+    most one, true while |ln|X|/ln(gamma)| < 2^48.  It refuses what `_bracket`
+    refuses (a guess beyond +-2^52; a departure by `_check_departure`, read
+    for the least magnitude) and a magnitude below the smallest normal
+    double, each a NumericalError.  Each turning point is a libm power,
+    computed once per call in a table over the guesses [min - 1, max + 2],
+    or, when that span is longer than the rows, around each distinct guess.
+    The upper power gamma^(2i+2+c) is the first table entry >= |X|, so the
+    inequalities decide, as in `_bracket`; a table of up to 16 entries is
+    scanned entry by entry, a longer one bisected by `np.searchsorted`."""
     magnitude = np.asarray(magnitude, dtype=float)
     least, most = magnitude.min(), magnitude.max()
     if not least >= _TINY:
@@ -226,8 +229,8 @@ def bracket_ratio(gamma: float, magnitude, offset: int, walk_rule: bool = True):
         ks = np.unique(np.unique(guess)[:, None] + np.arange(-1, 3))
     table = _turning_points(gamma, 2 * ks + offset)
     up = np.searchsorted(table, least)  # the least magnitude's upper turning point
-    if walk_rule and table[up - 1] < _TINY and gamma ** (2 * int(ks[up]) - 1 + offset) < _TINY:
-        raise NumericalError("underflow: a target's path leaves from a subnormal turning point")
+    if table[up - 1] < _TINY:
+        _check_departure(gamma ** (2 * int(ks[up]) - 1 + offset))
     if table.size > 16:
         ratio = table.take(np.searchsorted(table, magnitude))
     else:  # each entry below a magnitude passes it the next one up
@@ -241,22 +244,18 @@ def bracket_ratio(gamma: float, magnitude, offset: int, walk_rule: bool = True):
 
 
 def worst_case_ratio(coil: Coil) -> float:
-    """sup over targets of delta(X)/|X|, equal to (2*gamma^2 + gamma - 1)/(gamma - 1).
-
-    The supremum is approached, not attained, as X -> gamma^(2k) from above
-    (and -X -> gamma^(2k-1) from above on the negative side).
-    """
+    """sup over targets of delta(X)/|X|, (2*gamma^2 + gamma - 1)/(gamma - 1),
+    read as 2*gamma + 3 + 2/(gamma - 1), finite wherever the supremum is.  It
+    is approached, not attained, as X -> gamma^(2k) or -X -> gamma^(2k-1)
+    from above."""
     g = coil.gamma
-    return (2.0 * g * g + g - 1.0) / (g - 1.0)
+    return 2.0 * g + 3.0 + 2.0 / (g - 1.0)
 
 
 def optimal_minmax_coil() -> Tuple[float, float]:
-    """The expansion ratio minimizing the worst-case ratio: (2, 9).
-
-    The worst-case ratio is 2g + 3 + 2/(g - 1), so gamma is the root of its
-    derivative 2 - 2/(g - 1)^2 on [1.2, 5], checked to 2 ulps against the
-    analytic critical point gamma = 2.
-    """
+    """The expansion ratio minimizing `worst_case_ratio`, and its ratio: (2, 9).
+    gamma is the root of its derivative 2 - 2/(g - 1)^2 on [1.2, 5], checked
+    to 2 ulps against the analytic critical point gamma = 2."""
     gamma = find_root(lambda g: 2.0 - 2.0 / (g - 1.0) ** 2, Bracket(1.2, 5.0)).root_or_argmin
     if abs(gamma - 2.0) > 2.0 * math.ulp(2.0):
         raise NumericalError(f"derivative root {gamma!r} disagrees with analytic critical point 2")
@@ -271,22 +270,24 @@ def average_ratio(coil: Coil, x: float) -> float:
     (sum of gamma^(2p) for p <= i-1 equals gamma^(2i)/(gamma^2 - 1));
     only the two partial brackets need the logarithmic terms.  Log-periodic
     in x with period gamma^2.  The partial pieces integrate delta(s)/s: over
-    [gamma^(2i), x], (x - gamma^(2i)) + 2*gamma^(2i+2)/(gamma-1) * (ln x - 2i ln gamma);
+    [gamma^(2i), x], (x - gamma^(2i)) + 2*gamma^(2i+2)/(gamma-1) * ln(x/gamma^(2i));
     over [-x, -gamma^(2j-1)], a negative value, subtracted below,
-    (-x + gamma^(2j-1)) - 2*gamma^(2j+1)/(gamma-1) * (ln x - (2j-1) ln gamma).
+    (-x + gamma^(2j-1)) - 2*gamma^(2j+1)/(gamma-1) * ln(x/gamma^(2j-1)).
     A sum that overflows, to inf or to inf - inf, is a NumericalError.
     """
     _check_positive("X", x)
     g = coil.gamma
-    lg, lx = math.log(g), math.log(x)
-    r = lx / (2.0 * lg)
+    lg = math.log(g)
+    r = math.log(x) / (2.0 * lg)
     i, pi0, pi2 = _bracket(g, x, 0, r)
     j, pj0, pj2 = _bracket(g, x, -1, r)
+    log_i = math.log(x / pi0)  # not ln x - 2i ln(gamma), which cancels near gamma = 1
+    log_j = log_i + lg if j == i else log_i - lg  # ln(x/gamma^(2j-1)): j is i or i + 1
     series = 4.0 * lg / ((g - 1.0) ** 2 * (g + 1.0))
     whole_pos = pi0 + series * pi2
     whole_neg = pj0 + series * pj2
-    partial_pos = (x - pi0) + (2.0 * pi2 / (g - 1.0)) * (lx - 2 * i * lg)
-    partial_neg = (-x + pj0) - (2.0 * pj2 / (g - 1.0)) * (lx - (2 * j - 1) * lg)
+    partial_pos = (x - pi0) + (2.0 * pi2 / (g - 1.0)) * log_i
+    partial_neg = (-x + pj0) - (2.0 * pj2 / (g - 1.0)) * log_j
     ratio = (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
     if not math.isfinite(ratio):
         raise NumericalError(f"average ratio {ratio!r} at X = {x!r} is not finite")

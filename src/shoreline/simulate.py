@@ -38,10 +38,10 @@ stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
 holds exactly the values a serial run draws at those positions.  The three
 Monte Carlo drivers (spiral mean, mixed coil, coil walk) share one loop,
 `_sample`, over fixed, cache-sized blocks of positions, and the worst-ratio
-scan runs over blocks of its grid; since every sample and grid point is
-solved on its own, the samples do not depend on the block size.  No call
-holds more than a block of them: `_summarize` reduces each block and merges
-the blocks' moments, and the spiral driver solves every block in one
+scan runs over blocks of its one-period grid; since every sample and grid
+point is solved on its own, the samples do not depend on the block size.
+No call holds more than a block of them: `_summarize` reduces each block and
+merges the blocks' moments, and the spiral driver solves every block in one
 workspace allocated per call.
 """
 
@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .coil import _TINY, _check_gamma, _turning_points, bracket_ratio
+from .coil import _check_departure, _check_gamma, _turning_points, bracket_ratio
 from .numerics import (Bracket, NumericalError, _check_positive, _golden_section, find_root,
                        uniform_block)
 from .spiral_geometry import Spiral, arclength, contact_distance, tangent_contact
@@ -426,7 +426,7 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
     The table holds one window per k0 in [min k0, max k0], indexed by
     k0 - min k0, or, when that span is longer than the rows, one per distinct
     k0.  A hit segment ending past the float range or starting subnormal
-    raises."""
+    (`coil._check_departure`) raises."""
     _check_gamma(gamma)
     xs = np.asarray(x, dtype=float).reshape(-1)
     if not xs.all():
@@ -460,8 +460,7 @@ def coil_marching_distance(gamma: float, x: float | np.ndarray,
     if np.isinf(end).any():
         raise NumericalError("overflow: target beyond representable sweeps")
     mag = np.abs(start)
-    if (mag < _TINY).any():
-        raise NumericalError("underflow: a target's segment starts at a subnormal turning point")
+    _check_departure(float(mag.min()))
     with np.errstate(over="ignore", invalid="ignore"):
         deltas = (gamma + 1.0) * mag * (1.0 / (gamma - 1.0) + (xs - start) / (end - start))
     return float(deltas[0]) if np.ndim(x) == 0 else deltas
@@ -507,39 +506,37 @@ def mixed_strategy_sample(gamma: float, x: float, cfg: SimConfig) -> SampleStats
 
 
 def _exponent_blocks(count: int) -> Iterator[np.ndarray]:
-    """``np.linspace(-3.0, 3.0, count)`` (count >= 2) in blocks of _BLOCK,
+    """``np.linspace(-1.0, 1.0, count)`` (count >= 2) in blocks of _BLOCK,
     bit for bit: numpy's own formula, arange times the step plus the start,
     with the last point set to the stop."""
-    step = 6.0 / (count - 1)
+    step = 2.0 / (count - 1)
     for start in range(0, count, _BLOCK):
         block = np.arange(start, min(start + _BLOCK, count), dtype=float)
         block *= step
-        block += -3.0
+        block += -1.0
         if start + _BLOCK >= count:
-            block[-1] = 3.0
+            block[-1] = 1.0
         yield block
 
 
 def scan_worst_ratio(gamma: float, points: int) -> float:
-    """Scanned maximum of delta(x)/|x| over a log-spaced grid of signed
-    targets covering three periods, plus probes just above the jump points
-    gamma^(2k) (positive side) and -gamma^(2k-1) (negative side) where the
-    supremum is approached.  A grid end gamma^3 beyond the float range, or a
-    maximum that is not finite, is a NumericalError."""
+    """Scanned maximum of delta(x)/|x| over one log-period of signed targets,
+    the grid gamma^[-1, 1] (the negative side's period (1/gamma, gamma] drops
+    its left end, whose path leaves from gamma^-2), plus one probe per side
+    just above a jump point, X = 1 + 1e-9 and -(1 + 1e-9)/gamma, where the
+    supremum is approached.  A maximum that is not finite, as where gamma^2
+    overflows (gamma >= ~1.34e154), is a NumericalError."""
     _check_gamma(gamma)
     if points < 100:
         raise ValueError("require points >= 100")
-    ks = np.array([-1.0, 0.0, 1.0])
-    maxima = []
-    ratio = functools.partial(bracket_ratio, gamma, walk_rule=False)  # offset 0: X > 0, -1: X < 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for exponents in _exponent_blocks(points // 2):
+        maxima = [bracket_ratio(gamma, 1.0 + 1e-9, 0),
+                  bracket_ratio(gamma, (1.0 + 1e-9) / gamma, -1)]
+        for k, exponents in enumerate(_exponent_blocks(points // 2)):
             grid = np.power(gamma, exponents, out=exponents)
-            if not grid[-1] < math.inf:
-                raise NumericalError(f"scan grid at gamma {gamma!r} is beyond the float range")
-            maxima += [ratio(grid, 0).max(), ratio(grid, -1).max()]
-        maxima += [ratio(gamma ** (2.0 * ks) * (1.0 + 1e-9), 0).max(),
-                   ratio(gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9), -1).max()]
+            negative = grid if k else grid[1:]
+            maxima += [bracket_ratio(gamma, grid, 0).max(),
+                       bracket_ratio(gamma, negative, -1).max()]
     worst = float(np.max(maxima))
     if not math.isfinite(worst):
         raise NumericalError(f"scanned worst ratio {worst!r} at gamma {gamma!r} is not finite")

@@ -172,6 +172,26 @@ def test_kernel_refuses_where_the_scalar_rule_does(g):
                 (g - 1.0) * m), (g, c, m)
 
 
+# A target whose path leaves from a subnormal turning point: at gamma = 1e10
+# the bracket of X = 3e-308 is (1e-320, 1e-300], left from gamma^-31 = 1e-310;
+# -X's, (1e-310, 1e-290], is left from gamma^-30 = 1e-300, a normal double.
+SUBNORMAL_GAMMA, SUBNORMAL_X = 1e10, 3e-308
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x: coil_marching_distance(SUBNORMAL_GAMMA, x, WALK_CFG),
+    lambda x: travel_distance(Coil(SUBNORMAL_GAMMA), x).delta,
+    lambda x: bracket_index(Coil(SUBNORMAL_GAMMA), x),
+    lambda x: float(bracket_ratio(SUBNORMAL_GAMMA, abs(x), 0 if x > 0.0 else -1)),
+], ids=["walk", "travel_distance", "bracket_index", "bracket_ratio"])
+def test_subnormal_departure_is_one_rule(solve):
+    # one message, written once in coil, for one refusal; the other side answers
+    with pytest.raises(NumericalError) as refused:
+        solve(SUBNORMAL_X)
+    assert str(refused.value) == "underflow: a target's path leaves from a subnormal turning point"
+    assert math.isfinite(solve(-SUBNORMAL_X))
+
+
 # A target whose upper turning point is past the float range: X < 0 at
 # gamma^(2i+1) = inf for the walk and the closed forms, and average_ratio's
 # negative bracket at |X|.
@@ -206,6 +226,22 @@ class TestWorstCaseRatio:
         top = max(ratios)
         assert top <= worst_case_ratio(c)
         assert top >= worst_case_ratio(c) * (1.0 - 1e-3)
+
+    def test_finite_wherever_the_supremum_is(self):
+        # 2*gamma^2 overflows from gamma ~ 9.5e153; 2*gamma + 3 + 2/(gamma - 1)
+        # does not
+        for g in (9.5e153, 1e200, 1e308):
+            assert worst_case_ratio(Coil(g)) == pytest.approx(2.0 * g, rel=1e-15)
+
+    def test_within_two_ulps_of_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        u = uniform_block(5, 0, 4000).tolist()
+        gammas = [1.0 + 10.0 ** (-14.0 + 15.0 * v) for v in u[::2]]
+        gammas += [10.0 ** (150.0 * v) for v in u[1::2] if v > 0.0]
+        with mp.workdps(40):
+            for g in gammas:
+                want = (2 * mp.mpf(g) ** 2 + g - 1) / (mp.mpf(g) - 1)
+                assert abs(worst_case_ratio(Coil(g)) - want) <= 2.0 ** -51 * want, g
 
     def test_nine_is_global_floor(self):
         for g in np.linspace(1.2, 6.0, 60):
@@ -272,17 +308,18 @@ def _parent_bracket_index(g: float, target: float) -> int:
 
 
 def _parent_average_ratio(g: float, x: float) -> float:
-    # two bracket_index calls and the two partial-bracket integral formulas
+    # two bracket_index calls and the two partial-bracket integral formulas,
+    # each log read as ln(x/gamma^(2i)), and ln(x/gamma^(2j-1)) from it
     lg = math.log(g)
     i = _parent_bracket_index(g, x)
     j = _parent_bracket_index(g, -x)
     series = 4.0 * lg / ((g - 1.0) ** 2 * (g + 1.0))
     whole_pos = g ** (2 * i) + series * g ** (2 * i + 2)
     whole_neg = g ** (2 * j - 1) + series * g ** (2 * j + 1)
-    partial_pos = (x - g ** (2 * i)) + (2.0 * g ** (2 * i + 2) / (g - 1.0)) * (
-        math.log(x) - 2 * i * math.log(g))
-    partial_neg = (-x + g ** (2 * j - 1)) - (2.0 * g ** (2 * j + 1) / (g - 1.0)) * (
-        math.log(x) - (2 * j - 1) * math.log(g))
+    log_i = math.log(x / g ** (2 * i))
+    log_j = log_i + lg if j == i else log_i - lg
+    partial_pos = (x - g ** (2 * i)) + (2.0 * g ** (2 * i + 2) / (g - 1.0)) * log_i
+    partial_neg = (-x + g ** (2 * j - 1)) - (2.0 * g ** (2 * j + 1) / (g - 1.0)) * log_j
     return (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
 
 
@@ -377,6 +414,38 @@ class TestAverageRatio:
                 x = g ** (-4.0 + 8.0 * next(u))
                 val = average_ratio(c, x)
                 assert ext.min_value - 1e-9 <= val <= ext.max_value + 1e-9
+
+    def test_within_1e15_of_mpmath(self):
+        # the closed form at 60 digits, with exact powers and its own bracket
+        # indices, at gamma = 1 + 10^U(-14, 1) and x = 10^U(-300, 300), and
+        # where ln x - 2i ln(gamma) cancelled to 3.1e-14 (gamma = 1 + 1e-13,
+        # x = 1e290) and 1.2e-14 (1.05, 1e-200); draws whose bracket index
+        # passes 2^53 are refused, by the walk's rule, and skipped
+        mp = pytest.importorskip("mpmath")
+        u = uniform_block(61, 0, 2000).tolist()
+        cases = [(1.0 + 1e-13, 1e290), (1.05, 1e-200), (1.000001, 1e200), (2.0, 3.0)]
+        cases += [(1.0 + 10.0 ** (-14.0 + 15.0 * a), 10.0 ** (-300.0 + 600.0 * b))
+                  for a, b in zip(u[::2], u[1::2])]
+        checked = 0
+        for g, x in cases:
+            try:
+                got = average_ratio(Coil(g), x)
+            except NumericalError:
+                continue
+            with mp.workdps(60):
+                G, X = mp.mpf(g), mp.mpf(x)
+                lg, lx = mp.log(G), mp.log(X)
+                i = int(mp.ceil(lx / (2 * lg))) - 1  # G^(2i) < X <= G^(2i+2)
+                j = int(mp.ceil((lx / lg - 1) / 2))  # G^(2j-1) < X <= G^(2j+1)
+                series = 4 * lg / ((G - 1) ** 2 * (G + 1))
+                pos = G ** (2 * i) * (1 + series * G ** 2) + (X - G ** (2 * i)) + (
+                    2 * G ** (2 * i + 2) / (G - 1)) * (lx - 2 * i * lg)
+                neg = G ** (2 * j - 1) * (1 + series * G ** 2) - (-X + G ** (2 * j - 1)) + (
+                    2 * G ** (2 * j + 1) / (G - 1)) * (lx - (2 * j - 1) * lg)
+                want = (pos + neg) / (2 * X)
+            assert abs(got - want) <= 1e-15 * want, (g, x)
+            checked += 1
+        assert checked >= 500
 
     def test_requires_positive(self):
         with pytest.raises(ValueError):

@@ -710,12 +710,18 @@ class TestScanWorstRatio:
             bracket_ratio(1.000000000000001, 1e-300, 0)
 
     @pytest.mark.parametrize("gamma, worst", [(1e60, 1.999999998e+60),
-                                              (1e76, 1.9999999980000002e+76),
-                                              (9.6e76, 1.9199999980799998e+77)])
+                                              (1e76, 1.999999998e+76),
+                                              (9.6e76, 1.9199999980799998e+77),
+                                              (1e80, 1.9999999979999998e+80),
+                                              (1e150, 1.9999999979999996e+150),
+                                              (9e153, 1.7999999982e+154)])
     def test_huge_gamma_is_still_scanned(self, gamma, worst):
-        # the grid reaches gamma^(-3) and the table gamma^4: the kernel's
-        # domain checks refuse none of it
+        # one period, [1/gamma, gamma], and its table from gamma^-4 to gamma^4:
+        # the kernel's domain checks refuse none of it, and the scan lies in
+        # criterion 6's band below the supremum
         assert scan_worst_ratio(gamma, 1000) == worst
+        sup = worst_case_ratio(Coil(gamma))
+        assert sup * (1.0 - 1e-6) <= worst <= sup
 
     def test_point_budget(self):
         with pytest.raises(ValueError):
@@ -726,18 +732,18 @@ class TestScanWorstRatio:
         # the scan's grid, built a block at a time, is numpy's bit for bit
         blocks = list(simulate._exponent_blocks(count))
         assert max(b.size for b in blocks) <= _BLOCK
-        assert np.array_equal(np.concatenate(blocks), np.linspace(-3.0, 3.0, count))
+        assert np.array_equal(np.concatenate(blocks), np.linspace(-1.0, 1.0, count))
 
     @pytest.mark.parametrize("points", [2 * _BLOCK - 2, 2 * _BLOCK, 2 * _BLOCK + 2,
                                         4 * _BLOCK + 1])
     def test_blocks_match_one_whole_grid(self, points):
-        # grids of _BLOCK - 1, _BLOCK, _BLOCK + 1 and 2 * _BLOCK points, each
-        # side scanned in one piece with its probes
+        # grids of _BLOCK - 1, _BLOCK, _BLOCK + 1 and 2 * _BLOCK points over
+        # one period, each side scanned in one piece with its probe; the
+        # negative side drops the grid's left end 1/gamma
         for gamma in (1.3, 2.0, 5.7):
-            grid = gamma ** np.linspace(-3.0, 3.0, points // 2)
-            ks = np.array([-1.0, 0.0, 1.0])
-            pos = np.concatenate([grid, gamma ** (2.0 * ks) * (1.0 + 1e-9)])
-            neg = np.concatenate([grid, gamma ** (2.0 * ks - 1.0) * (1.0 + 1e-9)])
+            grid = gamma ** np.linspace(-1.0, 1.0, points // 2)
+            pos = np.concatenate([grid, [1.0 + 1e-9]])
+            neg = np.concatenate([grid[1:], [(1.0 + 1e-9) / gamma]])
             whole = max(float(bracket_ratio(gamma, pos, 0).max()),
                         float(bracket_ratio(gamma, neg, -1).max()))
             assert scan_worst_ratio(gamma, points) == whole
@@ -861,8 +867,9 @@ def test_parameter_outside_domain_is_value_error(name, value):
 NON_FINITE_CALLS = {
     "average_ratio-inf": lambda: average_ratio(Coil(1.000000001), 4e299),
     "average_ratio-nan": lambda: average_ratio(Coil(1.0000000000004245), 1.2462580855985263e307),
-    "scan_worst_ratio-grid": lambda: scan_worst_ratio(1e200, 1000),  # gamma^3 overflows
-    "scan_worst_ratio-ratio": lambda: scan_worst_ratio(1e80, 1000),  # gamma^4 overflows
+    # gamma^2 and (gamma - 1)*gamma overflow
+    "scan_worst_ratio-grid": lambda: scan_worst_ratio(1e200, 1000),
+    "scan_worst_ratio-ratio": lambda: scan_worst_ratio(1.4e154, 1000),  # gamma^2 overflows
 }
 
 
