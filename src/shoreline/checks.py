@@ -1,16 +1,19 @@
 """Acceptance suite: every published constant and every cross-route property
 the package promises, checked at fixed tolerances.
 
-`run_all()` executes the twelve criteria and returns one result per
-criterion; ``shoreline check`` prints them, and tests/test_acceptance.py
-asserts them individually.
+Each criterion returns its named comparisons, `Gate`s, and `run_criterion`
+passes it only when every gate holds; its detail prints each gate's value
+and names each gate that failed.  A gate named ``*-ref`` compares with a
+17-digit golden reference, its twin without the suffix with the published
+digits.  `run_all()` runs the twelve criteria; ``shoreline check`` prints
+them, and tests/test_acceptance.py asserts them individually.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -24,11 +27,36 @@ from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, _inverse_table,
                        scan_worst_ratio, spiral_first_contact)
 from .spiral_geometry import Spiral, contact_distance, second_contact
 from .spiral_objectives import (minimize_erroneous, minimize_minmax, minimize_minmean,
-                                minmax_objective, minmax_system_objective,
-                                minmax_system_residuals, solve_minmax_system,
-                                solve_minmean_system)
+                                minmax_system_objective, minmax_system_residuals,
+                                solve_minmax_system, solve_minmean_system)
 
-__all__ = ["CheckResult", "run_all", "CRITERIA"]
+__all__ = ["Gate", "CheckResult", "run_criterion", "run_all", "CRITERIA"]
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One named comparison: it holds when lo <= value - reference <= hi.
+    The symmetric gate, lo = -tol and hi = tol, is |value - reference| <= tol;
+    a NaN fails every gate."""
+
+    name: str
+    value: float
+    reference: float = 0.0
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    @property
+    def holds(self) -> bool:
+        return self.lo <= self.value - self.reference <= self.hi
+
+
+def _near(name: str, value: float, reference: float, tol: float) -> Gate:
+    return Gate(name, value, reference, -tol, tol)
+
+
+def _worst(errors) -> float:
+    """The largest |error| over every item; NaN if any item is NaN."""
+    return float(np.max(np.abs(errors)))
 
 
 @dataclass(frozen=True)
@@ -39,166 +67,127 @@ class CheckResult:
     detail: str
     seconds: float
 
+    @property
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (f"{status} criterion {self.criterion:2d}: {self.name} "
+                f"({self.seconds:.2f}s) - {self.detail}")
 
-def _check_minmax_spiral() -> Tuple[bool, str]:
+
+def _check_minmax_spiral() -> List[Gate]:
     t0 = time.perf_counter()
     opt = minimize_minmax()
     elapsed = time.perf_counter() - t0
-    conds = [
-        abs(opt.kappa - golden.MINMAX_KAPPA) <= 1e-8,
-        abs(opt.kappa - golden.MINMAX_KAPPA_REF) <= 1e-12,
-        abs(opt.objective_value - golden.MINMAX_OBJECTIVE) <= 1e-7,
-        abs(math.exp(opt.kappa) - golden.MINMAX_EXP_KAPPA) <= 1e-8,
-        elapsed < 1.0,
-    ]
-    detail = (f"kappa={opt.kappa:.10f} objective={opt.objective_value:.10f} "
-              f"exp(kappa)={math.exp(opt.kappa):.10f} runtime={elapsed:.2f}s")
-    return all(conds), detail
+    return [_near("kappa", opt.kappa, golden.MINMAX_KAPPA, 1e-8),
+            _near("kappa-ref", opt.kappa, golden.MINMAX_KAPPA_REF, 1e-12),
+            _near("objective", opt.objective_value, golden.MINMAX_OBJECTIVE, 1e-7),
+            _near("exp(kappa)", math.exp(opt.kappa), golden.MINMAX_EXP_KAPPA, 1e-8),
+            Gate("runtime_s", elapsed, hi=1.0)]
 
 
-def _check_minmax_system() -> Tuple[bool, str]:
+def _check_minmax_system() -> List[Gate]:
     pair = solve_minmax_system()
     r1, r2 = minmax_system_residuals(pair)
     opt = minimize_minmax()
-    sys_obj = minmax_system_objective(pair)
-    conds = [
-        abs(r1) < 1e-12,
-        abs(r2) < 1e-12,
-        abs(math.tan(pair.alpha) - opt.kappa) < 1e-12,
-        abs(math.tan(pair.alpha) - golden.MINMAX_KAPPA_REF) <= 1e-12,
-        abs(sys_obj - opt.objective_value) <= 1e-12 * opt.objective_value,
-    ]
-    detail = (f"residuals=({r1:.2e}, {r2:.2e}) tan(alpha)={math.tan(pair.alpha):.10f} "
-              f"csc*sec={sys_obj:.10f}")
-    return all(conds), detail
+    system_kappa = math.tan(pair.alpha)
+    return [_near("residual1", r1, 0.0, 1e-12),
+            _near("residual2", r2, 0.0, 1e-12),
+            _near("tan(alpha)", system_kappa, opt.kappa, 1e-12),
+            _near("tan(alpha)-ref", system_kappa, golden.MINMAX_KAPPA_REF, 1e-12),
+            _near("csc*sec", minmax_system_objective(pair), opt.objective_value,
+                  1e-12 * opt.objective_value)]
 
 
-def _check_minmean_spiral() -> Tuple[bool, str]:
+def _check_minmean_spiral() -> List[Gate]:
     opt = minimize_minmean()
-    pair = solve_minmean_system()
-    conds = [
-        abs(opt.kappa - golden.MINMEAN_KAPPA) <= 1e-8,
-        abs(opt.kappa - golden.MINMEAN_KAPPA_REF) <= 1e-12,
-        abs(opt.objective_value - golden.MINMEAN_OBJECTIVE) <= 1e-7,
-        abs(math.exp(opt.kappa) - golden.MINMEAN_EXP_KAPPA) <= 1e-8,
-        abs(math.tan(pair.alpha) - opt.kappa) <= 1e-12,
-        abs(math.tan(pair.alpha) - golden.MINMEAN_KAPPA_REF) <= 1e-12,
-    ]
-    detail = (f"kappa={opt.kappa:.10f} objective={opt.objective_value:.10f} "
-              f"exp(kappa)={math.exp(opt.kappa):.10f} system tan(alpha)="
-              f"{math.tan(pair.alpha):.10f}")
-    return all(conds), detail
+    system_kappa = math.tan(solve_minmean_system().alpha)
+    return [_near("kappa", opt.kappa, golden.MINMEAN_KAPPA, 1e-8),
+            _near("kappa-ref", opt.kappa, golden.MINMEAN_KAPPA_REF, 1e-12),
+            _near("objective", opt.objective_value, golden.MINMEAN_OBJECTIVE, 1e-7),
+            _near("exp(kappa)", math.exp(opt.kappa), golden.MINMEAN_EXP_KAPPA, 1e-8),
+            _near("tan(alpha)", system_kappa, opt.kappa, 1e-12),
+            _near("tan(alpha)-ref", system_kappa, golden.MINMEAN_KAPPA_REF, 1e-12)]
 
 
-def _check_erratum() -> Tuple[bool, str]:
+def _check_erratum() -> List[Gate]:
     opt = minimize_erroneous()
-    k, value = opt.kappa, opt.objective_value
-    true_arc = minmax_objective(k)
     # 0.22325 to five significant digits; 13.49 to within one unit of its
     # last printed digit (the published value is the minimum of the
     # erroneous objective itself, which is 13.4950...).
-    conds = [abs(k - golden.ERRONEOUS_KAPPA) <= 5e-6,
-             abs(value - golden.ERRONEOUS_VALUE) <= 1e-2]
-    detail = (f"argmin={k:.10f} erroneous-minimum={value:.10f} "
-              f"(true arclength there {true_arc:.4f})")
-    return all(conds), detail
+    return [_near("argmin", opt.kappa, golden.ERRONEOUS_KAPPA, 5e-6),
+            _near("erroneous-minimum", opt.objective_value, golden.ERRONEOUS_VALUE, 1e-2)]
 
 
-def _check_monte_carlo_spiral() -> Tuple[bool, str]:
+def _check_monte_carlo_spiral() -> List[Gate]:
     cfg = SimConfig(seed=golden.CHECK_SEED, samples=golden.MC_SAMPLES)
     t0 = time.perf_counter()
     stats = monte_carlo_mean_arclength(golden.MINMEAN_KAPPA, cfg)
     elapsed = time.perf_counter() - t0
-    gap = abs(stats.mean - golden.MINMEAN_OBJECTIVE)
-    conds = [gap <= 3.0 * stats.std_error, elapsed < 60.0]
-    detail = (f"mean={stats.mean:.6f} se={stats.std_error:.6f} "
-              f"z={gap / stats.std_error:+.2f} n={stats.n} runtime={elapsed:.1f}s")
-    return all(conds), detail
+    return [_near("mean", stats.mean, golden.MINMEAN_OBJECTIVE, 3.0 * stats.std_error),
+            Gate("runtime_s", elapsed, hi=60.0)]
 
 
-def _check_coil_minmax() -> Tuple[bool, str]:
+def _check_coil_minmax() -> List[Gate]:
     gamma, ratio = optimal_minmax_coil()
-    scanned = scan_worst_ratio(2.0, 100_000)
-    conds = [abs(gamma - golden.COIL_MINMAX_GAMMA) <= 1e-9,
-             abs(gamma - golden.COIL_MINMAX_GAMMA_REF) <= 1e-12,
-             abs(ratio - golden.COIL_MINMAX_RATIO) <= 1e-9,
-             scanned >= golden.COIL_MINMAX_RATIO - 1e-6,
-             scanned <= golden.COIL_MINMAX_RATIO + 1e-12]
-    detail = f"gamma={gamma:.12f} ratio={ratio:.12f} scan={scanned:.9f}"
-    return all(conds), detail
+    return [_near("gamma", gamma, golden.COIL_MINMAX_GAMMA, 1e-9),
+            _near("gamma-ref", gamma, golden.COIL_MINMAX_GAMMA_REF, 1e-12),
+            _near("ratio", ratio, golden.COIL_MINMAX_RATIO, 1e-9),
+            Gate("scan", scan_worst_ratio(2.0, 100_000), golden.COIL_MINMAX_RATIO, -1e-6, 1e-12)]
 
 
-def _check_coil_points() -> Tuple[bool, str]:
+def _check_coil_points() -> List[Gate]:
     coil = Coil(2.0)
-    cfg = SimConfig(seed=0, samples=1)
     d_plus = travel_distance(coil, 1.0).delta
     d_minus = travel_distance(coil, -1.0).delta
-    m_plus, m_minus = coil_marching_distance(2.0, np.array([1.0, -1.0]), cfg).tolist()
-    conds = [abs(d_plus - golden.COIL_DELTA_PLUS_ONE) <= 1e-12,
-             abs(d_minus - golden.COIL_DELTA_MINUS_ONE) <= 1e-12,
-             abs(m_plus - d_plus) <= 1e-12,
-             abs(m_minus - d_minus) <= 1e-12]
-    detail = f"delta(1)={d_plus} delta(-1)={d_minus} marching=({m_plus}, {m_minus})"
-    return all(conds), detail
+    m_plus, m_minus = coil_marching_distance(2.0, np.array([1.0, -1.0]),
+                                             SimConfig(seed=0, samples=1)).tolist()
+    return [_near("delta(1)", d_plus, golden.COIL_DELTA_PLUS_ONE, 1e-12),
+            _near("delta(-1)", d_minus, golden.COIL_DELTA_MINUS_ONE, 1e-12),
+            _near("walk(1)", m_plus, d_plus, 1e-12),
+            _near("walk(-1)", m_minus, d_minus, 1e-12)]
 
 
-def _check_ratio_extrema() -> Tuple[bool, str]:
+def _check_ratio_extrema() -> List[Gate]:
     ext = ratio_extrema(Coil(2.0))
     xs = np.exp(np.linspace(0.0, 2.0 * math.log(2.0), 10_000))
     vals = np.array([average_ratio(Coil(2.0), float(x)) for x in xs])
-    scan_min, scan_max = float(vals.min()), float(vals.max())
-    conds = [
-        abs(ext.min_value - golden.RATIO_MIN_G2) <= 1e-12,
-        abs(ext.max_value - golden.RATIO_MAX_G2) <= 1e-12,
-        ext.min_value - 1e-9 <= scan_min <= ext.min_value + 1e-5,
-        ext.max_value - 1e-5 <= scan_max <= ext.max_value + 1e-9,
-    ]
-    detail = (f"closed=({ext.min_value:.12f}, {ext.max_value:.12f}) "
-              f"scan=({scan_min:.9f}, {scan_max:.9f})")
-    return all(conds), detail
+    return [_near("min", ext.min_value, golden.RATIO_MIN_G2, 1e-12),
+            _near("max", ext.max_value, golden.RATIO_MAX_G2, 1e-12),
+            Gate("scan-min", float(vals.min()), ext.min_value, -1e-9, 1e-5),
+            Gate("scan-max", float(vals.max()), ext.max_value, -1e-5, 1e-9)]
 
 
-def _check_coil_minmean() -> Tuple[bool, str]:
+def _check_coil_minmean() -> List[Gate]:
     opt = optimal_minmean_coil()
-    conds = [abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN) <= 1e-8,
-             abs(opt.gamma_for_min - golden.COIL_MEAN_GAMMA_FOR_MIN_REF) <= 1e-12,
-             abs(opt.mean_min - golden.COIL_MEAN_MIN) <= 1e-8,
-             abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX) <= 1e-8,
-             abs(opt.gamma_for_max - golden.COIL_MEAN_GAMMA_FOR_MAX_REF) <= 1e-12,
-             abs(opt.mean_max - golden.COIL_MEAN_MAX) <= 1e-8]
-    detail = (f"period-min: ({opt.gamma_for_min:.10f}, {opt.mean_min:.10f}) "
-              f"period-max: ({opt.gamma_for_max:.10f}, {opt.mean_max:.10f})")
-    return all(conds), detail
+    return [_near("gamma-min", opt.gamma_for_min, golden.COIL_MEAN_GAMMA_FOR_MIN, 1e-8),
+            _near("gamma-min-ref", opt.gamma_for_min, golden.COIL_MEAN_GAMMA_FOR_MIN_REF, 1e-12),
+            _near("mean-min", opt.mean_min, golden.COIL_MEAN_MIN, 1e-8),
+            _near("gamma-max", opt.gamma_for_max, golden.COIL_MEAN_GAMMA_FOR_MAX, 1e-8),
+            _near("gamma-max-ref", opt.gamma_for_max, golden.COIL_MEAN_GAMMA_FOR_MAX_REF, 1e-12),
+            _near("mean-max", opt.mean_max, golden.COIL_MEAN_MAX, 1e-8)]
 
 
-def _check_mixed() -> Tuple[bool, str]:
+def _check_mixed() -> List[Gate]:
     strat = optimal_mixed()
     cfg = SimConfig(seed=golden.CHECK_SEED, samples=golden.MC_SAMPLES)
     stats = mixed_strategy_sample(strat.gamma, 1.0, cfg)
-    gap = abs(stats.mean - (1.0 + strat.gamma))
-    conds = [abs(strat.gamma - golden.MIXED_GAMMA) <= 1e-10,
-             abs(strat.gamma - golden.MIXED_GAMMA_REF) <= 1e-12,
-             gap <= 3.0 * stats.std_error]
-    detail = (f"gamma={strat.gamma:.12f} sampled mean={stats.mean:.6f} "
-              f"z={gap / stats.std_error:+.2f}")
-    return all(conds), detail
+    return [_near("gamma", strat.gamma, golden.MIXED_GAMMA, 1e-10),
+            _near("gamma-ref", strat.gamma, golden.MIXED_GAMMA_REF, 1e-12),
+            _near("sampled-mean", stats.mean, 1.0 + strat.gamma, 3.0 * stats.std_error)]
 
 
-def _check_property_suites() -> Tuple[bool, str]:
+def _check_property_suites() -> List[Gate]:
     t0 = time.perf_counter()
-    failures = []
 
     # Oracle equivalence: closed-form travel distance vs one walk over 50
     # signed targets +-g^U(-6, 6) for each of 20 seeded g in [1.1, 8].
     u = uniform_block(12345, 0, 2020)
     cfg = SimConfig(seed=0, samples=1)
+    oracle = []
     for g, (e, side) in zip((1.1 + 6.9 * u[:20]).tolist(), u[20:].reshape(20, 2, 50)):
         xs = np.where(side < 0.5, 1.0, -1.0) * g ** (-6.0 + 12.0 * e)
         closed = np.array([travel_distance(Coil(g), x).delta for x in xs.tolist()])
-        off = np.abs(closed - coil_marching_distance(g, xs, cfg)) > 1e-9 * closed
-        if off.any():
-            failures.append(f"oracle equivalence gamma={g} x={xs[off.argmax()]}")
-            break
+        oracle.append((closed - coil_marching_distance(g, xs, cfg)) / closed)
 
     # The other parameters are read in order from the next block of the stream.
     stream = iter(uniform_block(12345, 2020, 2100).tolist())
@@ -207,29 +196,27 @@ def _check_property_suites() -> Tuple[bool, str]:
         return lo + (hi - lo) * next(stream)
 
     # Self-similarity delta(gamma^2 x) = gamma^2 delta(x).
+    similarity = []
     for _ in range(500):
         g = draw(1.1, 8.0)
         mag = g ** draw(-6.0, 4.0)
         x = mag if draw() < 0.5 else -mag
-        d1 = travel_distance(Coil(g), x).delta
         d2 = travel_distance(Coil(g), g * g * x).delta
-        if abs(d2 - g * g * d1) > 1e-9 * abs(d2):
-            failures.append(f"self-similarity gamma={g} x={x}")
-            break
+        similarity.append((d2 - g * g * travel_distance(Coil(g), x).delta) / d2)
 
     # theta1 solves its defining equation in log form,
     # kappa*theta1 + ln cos(theta1 - omega0) = ln R, over 40 decades of R.
+    theta1 = []
     for _ in range(100):
         k = draw(0.05, 2.0)
         R = 10.0 ** draw(-20.0, 20.0)
         c = second_contact(Spiral(k, R))
-        if abs(k * c.theta1 + math.log(math.cos(c.theta1 - c.omega0)) - math.log(R)) > 1e-10:
-            failures.append(f"theta1 defining equation kappa={k} R={R}")
-            break
+        theta1.append(k * c.theta1 + math.log(math.cos(c.theta1 - c.omega0)) - math.log(R))
 
     # Tangency: theta0 is a double root of the contact distance to the line
     # tangent to the circle of radius R at omega0 (d = 0 and d' = 0), taken
     # at R = 1 by the shift ln(R)/kappa.
+    tangency = []
     for _ in range(200):
         k = draw(0.05, 2.0)
         R = draw(0.1, 10.0)
@@ -237,47 +224,45 @@ def _check_property_suites() -> Tuple[bool, str]:
         shift = math.log(R) / k
         th0, om0 = contact.theta0 - shift, contact.omega0 - shift
         slope = math.exp(k * th0) * (k * math.cos(th0 - om0) - math.sin(th0 - om0))
-        if max(abs(contact_distance(k, om0, th0)), abs(slope)) > 1e-14:
-            failures.append(f"tangency kappa={k} R={R}")
-            break
+        tangency += [contact_distance(k, om0, th0), slope]
 
     # RNG determinism: value i depends only on (seed, i), so one-value
-    # blocks, a whole block and its shards all agree.
-    a = [float(uniform_block(99, i, 1)[0]) for i in range(64)]
-    blk = uniform_block(99, 0, 64)
-    if list(blk) != a or list(uniform_block(99, 0, 64)) != a:
-        failures.append("stream repeatability / block agreement")
-    shards = [uniform_block(99, start, 16) for start in range(0, 64, 16)]
-    if list(np.concatenate(shards)) != a:
-        failures.append("shard derivation")
+    # blocks, a whole block drawn twice and its shards all agree.
+    single = [float(uniform_block(99, i, 1)[0]) for i in range(64)]
+    shards = np.concatenate([uniform_block(99, start, 16) for start in range(0, 64, 16)])
+    stream_gap = np.array([uniform_block(99, 0, 64), uniform_block(99, 0, 64), shards]) - single
     s1 = monte_carlo_mean_arclength(0.5, SimConfig(seed=5, samples=2000))
     s2 = monte_carlo_mean_arclength(0.5, SimConfig(seed=5, samples=2000))
-    if s1 != s2:
-        failures.append("monte carlo repeatability")
 
     # Monte Carlo contact kernel vs the scalar reference march, on
     # stratified directions over one period.
     march = SimConfig(seed=0, samples=1, march_step=0.02)
+    contacts = []
     for k in (golden.MINMAX_KAPPA, golden.MINMEAN_KAPPA, 1.0, 5.0):
         omega0 = second_contact(Spiral(k, 1.0)).omega0
         omegas = omega0 + math.tau * (np.arange(64) + 0.5) / 64
         marched = [spiral_first_contact(k, float(w), march)[0] for w in omegas]
-        if np.abs(_first_contacts(_inverse_table(k), omegas) - marched).max() > _REFINE_TOL:
-            failures.append(f"monte carlo contacts vs march kappa={k}")
-            break
+        contacts.append(_first_contacts(_inverse_table(k), omegas) - marched)
 
     elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 30.0
-    detail = f"runtime={elapsed:.1f}s" + (f" failures={failures}" if failures else "")
-    return ok, detail
+    return [Gate("oracle-equivalence", _worst(oracle), hi=1e-9),
+            Gate("self-similarity", _worst(similarity), hi=1e-9),
+            Gate("theta1-equation", _worst(theta1), hi=1e-10),
+            Gate("tangency", _worst(tangency), hi=1e-14),
+            Gate("stream-blocks-and-shards", _worst(stream_gap), hi=0.0),
+            Gate("monte-carlo-repeatability", _worst(np.subtract(astuple(s1), astuple(s2))),
+                 hi=0.0),
+            Gate("contacts-vs-march", _worst(contacts), hi=_REFINE_TOL),
+            Gate("runtime_s", elapsed, hi=30.0)]
 
 
-def _check_scope_note() -> Tuple[bool, str]:
-    return True, ("global optimality of spirals over all escape paths is an open "
-                  "conjecture with no algorithmic content; out of scope by design")
+def _check_scope_note() -> List[Gate]:
+    """global optimality of spirals over all escape paths is an open
+    conjecture with no algorithmic content; out of scope by design"""
+    return []
 
 
-CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
+CRITERIA: List[Tuple[int, str, Callable[[], List[Gate]]]] = [
     (1, "min-max spiral optimum", _check_minmax_spiral),
     (2, "min-max angle system", _check_minmax_system),
     (3, "min-mean spiral optimum", _check_minmean_spiral),
@@ -293,13 +278,24 @@ CRITERIA: List[Tuple[int, str, Callable[[], Tuple[bool, str]]]] = [
 ]
 
 
+def run_criterion(cid: int, name: str, fn: Callable[[], List[Gate]]) -> CheckResult:
+    """Run one criterion: it passes when every gate holds.  The detail prints
+    each gate's value and then each failed gate with its reference and
+    bounds; a criterion with no gates reports its docstring, and one that
+    raises fails with the exception."""
+    t0 = time.perf_counter()
+    try:
+        gates = fn()
+    except Exception as exc:  # a crashed check is a failed check
+        return CheckResult(cid, name, False, f"raised {type(exc).__name__}: {exc}",
+                           time.perf_counter() - t0)
+    failed = [g for g in gates if not g.holds]
+    detail = (" ".join(f"{g.name}={g.value:.10g}" for g in gates)
+              or " ".join((fn.__doc__ or "").split()))
+    detail += "".join(f"; FAILED {g.name}: {g.value} - {g.reference} = {g.value - g.reference}"
+                      f" not in [{g.lo}, {g.hi}]" for g in failed)
+    return CheckResult(cid, name, not failed, detail, time.perf_counter() - t0)
+
+
 def run_all() -> List[CheckResult]:
-    results = []
-    for cid, name, fn in CRITERIA:
-        t0 = time.perf_counter()
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(cid, name, passed, detail, time.perf_counter() - t0))
-    return results
+    return [run_criterion(*criterion) for criterion in CRITERIA]

@@ -257,8 +257,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> str:
 def _cmd_check() -> int:
     results = checks.run_all()
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} criterion {r.criterion:2d}: {r.name} ({r.seconds:.2f}s) - {r.detail}")
+        print(r.line)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 0 if not failed else 1

@@ -204,17 +204,19 @@ def bracket_ratio(gamma: float, magnitude, offset: int):
 
     The vector form of `bracket_index`, bit for bit that formula with its i
     while the index guess ceil(ln|X|/(2 ln gamma) - 1 - c/2) is off by at
-    most one, true while |ln|X|/ln(gamma)| < 2^48.  It refuses what `_bracket`
-    refuses (a guess beyond +-2^52; a departure by `_check_departure`, read
-    for the least magnitude) and a magnitude below the smallest normal
-    double, each a NumericalError.  Each turning point is a libm power,
-    computed once per call in a table over the guesses [min - 1, max + 2],
+    most one, true while |ln|X|/ln(gamma)| < 2^48, and while (gamma-1)*|X| is
+    finite (past it, it divides by each factor in turn).  It refuses what
+    `_bracket` refuses (a guess beyond +-2^52; a departure by `_check_departure`,
+    read for the least magnitude; an upper turning point past the float range,
+    read for the largest, the walk's overflow) and a magnitude below the
+    smallest normal double, each a NumericalError.  Each turning point is a
+    libm power, computed once per call in a table over the guesses [min - 1, max + 2],
     or, when that span is longer than the rows, around each distinct guess.
     The upper power gamma^(2i+2+c) is the first table entry >= |X|, so the
     inequalities decide, as in `_bracket`; a table of up to 16 entries is
     scanned entry by entry, a longer one bisected by `np.searchsorted`."""
     magnitude = np.asarray(magnitude, dtype=float)
-    least, most = magnitude.min(), magnitude.max()
+    least, most = float(magnitude.min()), float(magnitude.max())
     if not least >= _TINY:
         raise NumericalError("underflow: a target magnitude below the smallest normal double")
     scale, shift = 0.5 / math.log(gamma), 1.0 + 0.5 * offset
@@ -228,6 +230,8 @@ def bracket_ratio(gamma: float, magnitude, offset: int):
         guess = np.ceil(np.log(magnitude) * scale - shift).astype(np.int64)
         ks = np.unique(np.unique(guess)[:, None] + np.arange(-1, 3))
     table = _turning_points(gamma, 2 * ks + offset)
+    if table[np.searchsorted(table, most)] == math.inf:  # the largest magnitude's upper one
+        raise NumericalError("overflow: target beyond representable sweeps")
     up = np.searchsorted(table, least)  # the least magnitude's upper turning point
     if table[up - 1] < _TINY:
         _check_departure(gamma ** (2 * int(ks[up]) - 1 + offset))
@@ -238,7 +242,11 @@ def bracket_ratio(gamma: float, magnitude, offset: int):
         for below, power in zip(table.tolist(), table[1:].tolist()):
             np.copyto(ratio, power, where=magnitude > below)
     ratio *= 2.0
-    ratio /= (gamma - 1.0) * magnitude
+    if (gamma - 1.0) * most < math.inf:
+        ratio /= (gamma - 1.0) * magnitude
+    else:  # (gamma - 1)|X| overflows, so gamma - 1 > 1 and dividing by it first cannot
+        ratio /= gamma - 1.0
+        ratio /= magnitude
     ratio += 1.0
     return ratio
 

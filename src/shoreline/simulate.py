@@ -524,8 +524,9 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
     the grid gamma^[-1, 1] (the negative side's period (1/gamma, gamma] drops
     its left end, whose path leaves from gamma^-2), plus one probe per side
     just above a jump point, X = 1 + 1e-9 and -(1 + 1e-9)/gamma, where the
-    supremum is approached.  A maximum that is not finite, as where gamma^2
-    overflows (gamma >= ~1.34e154), is a NumericalError."""
+    supremum is approached.  It answers while 2*gamma^2 is finite (gamma < ~9.5e153);
+    past that the maximum is not finite, a NumericalError, and from ~1.34e154, where
+    the turning point gamma^2 overflows, `bracket_ratio` raises the walk's overflow."""
     _check_gamma(gamma)
     if points < 100:
         raise ValueError("require points >= 100")

@@ -56,14 +56,9 @@ __all__ = [
     "minmax_system_residuals",
     "minmax_system_objective",
     "solve_minmax_system",
-    "phi",
-    "psi",
-    "xi",
     "minmean_system_residuals",
     "minmean_system_objective",
     "solve_minmean_system",
-    "MINMAX_BRACKET",
-    "MINMEAN_BRACKET",
 ]
 
 # Search brackets: both contain the optima with wide margin and stay clear of

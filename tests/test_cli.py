@@ -63,14 +63,12 @@ class TestSpiralCommands:
         assert r5["minmean_objective"] == pytest.approx(5 * r1["minmean_objective"], rel=1e-9)
         assert r5["theta1"] - r1["theta1"] == pytest.approx(math.log(5.0) / 0.5, abs=1e-9)
 
-    def test_eval_requires_kappa(self):
-        cp = run_cli("spiral", "eval")
-        assert cp.returncode == 2
-        assert "kappa" in cp.stderr
+    def test_eval_requires_kappa(self, capsys):
+        assert main(["spiral", "eval"]) == 2
+        assert "kappa" in capsys.readouterr().err
 
     def test_eval_invalid_kappa(self):
-        cp = run_cli("spiral", "eval", "--kappa", "-0.3")
-        assert cp.returncode == 2
+        assert main(["spiral", "eval", "--kappa", "-0.3"]) == 2
 
     @pytest.mark.parametrize("radius", ["-2", "0", "nan", "inf", "-inf"])
     def test_invalid_radius(self, radius, capsys):
@@ -118,8 +116,7 @@ class TestCoilCommands:
         assert res["bracket_index"] == 0
 
     def test_eval_at_origin(self):
-        cp = run_cli("coil", "eval", "--gamma", "2", "--X", "0")
-        assert cp.returncode == 2
+        assert main(["coil", "eval", "--gamma", "2", "--X", "0"]) == 2
 
     @pytest.mark.parametrize("target", ["inf", "-inf", "nan", "0"])
     def test_eval_invalid_target(self, target, capsys):
@@ -547,9 +544,10 @@ class TestOutputFormats:
         assert "shoreline" in cp.stdout
 
 
-def test_check_command_runs_full_suite():
-    cp = run_cli("check")
-    assert cp.returncode == 0, cp.stdout + cp.stderr
-    assert "12/12 criteria passed" in cp.stdout
-    assert cp.stdout.count("PASS") == 12
-    assert "FAIL" not in cp.stdout
+def test_check_command_runs_full_suite(capsys):
+    code = main(["check"])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+    assert "12/12 criteria passed" in out
+    assert out.count("PASS") == 12
+    assert "FAIL" not in out

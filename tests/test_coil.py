@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from shoreline.coil import (Coil, CoilHit, MixedStrategy, average_ratio, bracket
                             optimal_minmean_coil, optimal_mixed, ratio_extrema,
                             travel_distance, worst_case_ratio)
 from shoreline.numerics import NumericalError, find_root, integrate, lambert_w0, uniform_block
-from shoreline.simulate import SimConfig, coil_marching_distance
+from shoreline.simulate import SimConfig, coil_marching_distance, scan_worst_ratio
 
 WALK_CFG = SimConfig(seed=0, samples=1)
 
@@ -193,8 +194,10 @@ def test_subnormal_departure_is_one_rule(solve):
 
 
 # A target whose upper turning point is past the float range: X < 0 at
-# gamma^(2i+1) = inf for the walk and the closed forms, and average_ratio's
-# negative bracket at |X|.
+# gamma^(2i+1) = inf for the walk and the closed forms (bracket_ratio reads
+# it for the largest magnitude of an array), and average_ratio's negative
+# bracket at |X|.  The worst-ratio scan's probe 1 + 1e-9 has the upper turning
+# point gamma^2, which overflows from gamma ~ 1.34e154.
 OVERFLOW_GAMMA, OVERFLOW_X = 3.733023421621123, -1.6902816577234507e+307
 
 
@@ -203,11 +206,18 @@ OVERFLOW_GAMMA, OVERFLOW_X = 3.733023421621123, -1.6902816577234507e+307
     lambda: travel_distance(Coil(OVERFLOW_GAMMA), OVERFLOW_X),
     lambda: bracket_index(Coil(OVERFLOW_GAMMA), OVERFLOW_X),
     lambda: average_ratio(Coil(OVERFLOW_GAMMA), -OVERFLOW_X),
-], ids=["walk", "travel_distance", "bracket_index", "average_ratio"])
+    lambda: bracket_ratio(OVERFLOW_GAMMA, np.array([-OVERFLOW_X, 1.0]), -1),
+    lambda: scan_worst_ratio(1e200, 1000),
+    lambda: scan_worst_ratio(1.4e154, 1000),
+], ids=["walk", "travel_distance", "bracket_index", "average_ratio", "bracket_ratio",
+        "scan_worst_ratio-grid", "scan_worst_ratio-ratio"])
 def test_overflowing_turning_point_is_the_walks_overflow(solve):
-    # one exception type, and the walk's wording, for one overflow
-    with pytest.raises(NumericalError, match="^overflow: target beyond representable sweeps"):
-        solve()
+    # one exception type, and the walk's wording, for one overflow, with no
+    # numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^overflow: target beyond representable sweeps"):
+            solve()
 
 
 class TestWorstCaseRatio:
