@@ -22,7 +22,7 @@ from . import golden
 from .coil import (Coil, average_ratio, optimal_minmax_coil, optimal_minmean_coil,
                    optimal_mixed, ratio_extrema, travel_distance)
 from .numerics import uniform_block
-from .simulate import (_REFINE_TOL, SimConfig, _first_contacts, _inverse_table,
+from .simulate import (_REFINE_TOL, _TABLE_TOL, SimConfig, _first_contacts, _inverse_table,
                        coil_marching_distance, mixed_strategy_sample, monte_carlo_mean_arclength,
                        scan_worst_ratio, spiral_first_contact)
 from .spiral_geometry import Spiral, contact_distance, second_contact
@@ -235,14 +235,14 @@ def _check_property_suites() -> List[Gate]:
     s2 = monte_carlo_mean_arclength(0.5, SimConfig(seed=5, samples=2000))
 
     # Monte Carlo contact kernel vs the scalar reference march, on
-    # stratified directions over one period.
+    # stratified directions over one period; each table's measured error.
     march = SimConfig(seed=0, samples=1, march_step=0.02)
+    tables = [_inverse_table(k) for k in (golden.MINMAX_KAPPA, golden.MINMEAN_KAPPA, 1.0, 5.0)]
     contacts = []
-    for k in (golden.MINMAX_KAPPA, golden.MINMEAN_KAPPA, 1.0, 5.0):
-        omega0 = second_contact(Spiral(k, 1.0)).omega0
-        omegas = omega0 + math.tau * (np.arange(64) + 0.5) / 64
-        marched = [spiral_first_contact(k, float(w), march)[0] for w in omegas]
-        contacts.append(_first_contacts(_inverse_table(k), omegas) - marched)
+    for table in tables:
+        omegas = table.omega0 + math.tau * (np.arange(64) + 0.5) / 64
+        marched = [spiral_first_contact(table.kappa, float(w), march)[0] for w in omegas]
+        contacts.append(_first_contacts(table, omegas) - marched)
 
     elapsed = time.perf_counter() - t0
     return [Gate("oracle-equivalence", _worst(oracle), hi=1e-9),
@@ -253,6 +253,7 @@ def _check_property_suites() -> List[Gate]:
             Gate("monte-carlo-repeatability", _worst(np.subtract(astuple(s1), astuple(s2))),
                  hi=0.0),
             Gate("contacts-vs-march", _worst(contacts), hi=_REFINE_TOL),
+            Gate("inverse-table-error", _worst([t.error for t in tables]), hi=_TABLE_TOL),
             Gate("runtime_s", elapsed, hi=30.0)]
 
 

@@ -181,7 +181,7 @@ def travel_distance(coil: Coil, target: float) -> CoilHit:
     pass through X.
     """
     i, _, hi = _target_bracket(coil, target)
-    return CoilHit(target=target, index=i, delta=abs(target) + 2.0 * hi / (coil.gamma - 1.0))
+    return CoilHit(target=target, index=i, delta=abs(target) + 2.0 * (hi / (coil.gamma - 1.0)))
 
 
 def _turning_points(gamma: float, exponents: np.ndarray) -> np.ndarray:
@@ -241,12 +241,12 @@ def bracket_ratio(gamma: float, magnitude, offset: int):
         ratio = np.full(magnitude.shape, table[0])
         for below, power in zip(table.tolist(), table[1:].tolist()):
             np.copyto(ratio, power, where=magnitude > below)
-    ratio *= 2.0
     if (gamma - 1.0) * most < math.inf:
         ratio /= (gamma - 1.0) * magnitude
     else:  # (gamma - 1)|X| overflows, so gamma - 1 > 1 and dividing by it first cannot
         ratio /= gamma - 1.0
         ratio /= magnitude
+    ratio *= 2.0  # after the division, exact, so the numerator 2*gamma^(2i+2+c) cannot overflow
     ratio += 1.0
     return ratio
 

@@ -18,20 +18,20 @@ and the first contact is the left root of g on the fixed bracket
 (omega - pi/2, omega + atan(kappa)], where g increases.
 
 In t = theta - omega that root solves one equation for every sample,
-H(t) = kappa*t + ln cos t = -kappa*omega on (-pi/2, atan(kappa)], and omega
-enters only through the right-hand side.  So each Monte Carlo call inverts H
-once, as a table of t against s = sqrt(kappa*(omega - omega0)) (the square
-root of the peak's height above the level, in which t stays smooth even at
-tangency, s = 0), and each sample takes a cubic Hermite guess from its cell.
-The table only steers: a guess is kept when the contact sign test shows a
-sign change of g within _REFINE_TOL/2 of it, the guarantee bisection gives,
-and any other row is bisected on its window bracket by `_bisect_contacts`.
-The table and the sign test read ln cos t from one formula, `_log_cos`:
--log1p(tan^2 t)/2, and -inf wherever |t| > pi/2, on both sides of the
-window, so the sign test is False exactly where cos t <= 0.  The scalar
-reference march `spiral_first_contact` shares neither the sign test nor the
-bisection: it reads the product-form distance `contact_distance` and stays
-the independent check.
+H(t) = kappa*t + ln cos t = -kappa*omega on (-pi/2, atan(kappa)], where omega
+enters only on the right.  So each Monte Carlo call inverts H once, as a
+table of t against s = sqrt(kappa*(omega - omega0)) (the root of the peak's
+height above the level: t stays smooth even at tangency, s = 0), sized to its
+own Hermite error measured at the cell midpoints, and each sample takes a
+cubic guess from its cell.  The table only steers: a guess is kept when the
+contact sign test shows a sign change of g within _REFINE_TOL/2 of it, the
+guarantee bisection gives, and any other row is bisected on its window
+bracket by `_bisect_contacts`.  The table and the sign test read ln cos t
+from one formula, `_log_cos`: -log1p(tan^2 t)/2, and -inf wherever
+|t| > pi/2, on both sides of the window, so the sign test is False exactly
+where cos t <= 0.  The scalar reference march `spiral_first_contact` shares
+neither the sign test nor the bisection: it reads the product-form distance
+`contact_distance` and stays the independent check.
 
 The random stream is counter-based, so a run of n samples always consumes
 stream positions 0..n-1, and the block ``uniform_block(seed, start, count)``
@@ -88,15 +88,21 @@ _BLOCK = 16384
 # Float rows of a block that `_first_contacts` cuts its buffers from.
 _CONTACT_ROWS = 7
 
-# Equal steps of s in one Monte Carlo call's inverse table.  At this size
-# every guess in a 1e6-sample run passes the certificate for kappa <= 20; at
-# kappa = 30 and 100, where t falls steeply toward -pi/2, 0.24% and 1.8% of
-# the rows are bisected instead.
-_TABLE_CELLS = 4096
+# The inverse table starts at _COARSE_CELLS equal steps of s and takes more,
+# up to _TABLE_CELLS, only while its Hermite error, measured at the cell
+# midpoints, exceeds _TABLE_TOL: every kappa in [0.1, 1] keeps 512 cells,
+# kappa = 5 takes 2048, and from about kappa = 20 it stops at the cap above
+# the tolerance.  Newton on its levels stops once none moves by more than
+# _NEWTON_TOL, after 2-4 steps from its guesses, or at _NEWTON_CAP.  The
+# certificate still decides every row: none is bisected in a 1e6-sample run at
+# kappa <= 20, 0.24% and 1.8% are at kappa = 30 and 100.
+_COARSE_CELLS, _TABLE_CELLS, _TABLE_TOL = 512, 4096, _REFINE_TOL / 8
+_NEWTON_TOL, _NEWTON_CAP = 1e-13, 8
 
-# The inverse table's grid of t as fractions of [-pi/2, atan(kappa)]: the
-# equal steps and the points approaching -pi/2 geometrically, kappa-free.
-_FRACTION = np.sort(np.concatenate((np.linspace(0.0, 1.0, _TABLE_CELLS + 1),
+# The coarse table's grid of t as fractions of [-pi/2, atan(kappa)], kappa-free:
+# the equal steps and points approaching -pi/2 geometrically, where t falls
+# fast as s grows at large kappa.
+_FRACTION = np.sort(np.concatenate((np.linspace(0.0, 1.0, _COARSE_CELLS + 1),
                                     np.geomspace(1e-17, 1.0, 256))))
 
 
@@ -231,50 +237,68 @@ def _bisect_contacts(kappa: float, omegas, lo, hi):
 class _InverseTable:
     """One kappa's inverse of H(t) = kappa*t + ln cos t (module docstring):
     t = theta - omega as cubic Hermite pieces in s = sqrt(kappa*(omega - omega0)),
-    ``coef[i, k]`` the u^k coefficient of cell i, u = s/step - i."""
+    ``coef[i, k]`` the u^k coefficient of cell i of ``cells``, u = s/step - i.
+    ``error`` is the largest move of a Newton step from a cell's midpoint, u = 1/2."""
 
     kappa: float
     omega0: float
     inv_step: float
     coef: np.ndarray
+    cells: int
+    error: float
 
 
 def _inverse_table(kappa: float) -> _InverseTable:
     """The inverse table for directions in [omega0, omega0 + 2*pi).
 
     Level j solves H(t) = H_max - s_j^2, with H_max = H(atan(kappa)) =
-    -kappa*omega0 and s_j = j*step.  Each level starts from `np.interp` on a
-    grid of t (`_FRACTION`: uniform, plus points approaching -pi/2
-    geometrically, where t falls fast as s grows at large kappa) and takes
-    a few Newton steps, kept inside [-pi/2, atan(kappa)]; dt/ds = -2s/H'(t),
-    and -sqrt(2/(1 + kappa^2)) at the peak.  H reads ln cos t from
-    `_log_cos`, as the sign test does, and H'(t) = kappa - tan t.  A level
-    whose root lies closer to -pi/2 than a double resolves stays at -pi/2,
-    which is then the contact to rounding.  A kappa whose tau*kappa^2 overflows is a
-    NumericalError: the table's steps and the arclength factor are not
-    finite there."""
+    -kappa*omega0 and s_j = j*step, by Newton steps until none moves by more
+    than _NEWTON_TOL; dt/ds = -2s/H'(t), and -sqrt(2/(1 + kappa^2)) at the peak.
+    The first table starts from `np.interp` on the grid `_FRACTION`.  While a
+    table's error e exceeds _TABLE_TOL, the next has 2^ceil(log2(e/_TABLE_TOL)/4)
+    times its cells (the error goes as step^4), at most _TABLE_CELLS, and starts
+    from its cubic.  A level whose root lies closer to -pi/2 than a double
+    resolves stays at -pi/2, the contact to rounding.  A kappa whose
+    tau*kappa^2 overflows is a NumericalError: the steps are not finite there."""
     if not math.isfinite(math.tau * kappa * kappa):
         raise NumericalError("tau*kappa^2 is beyond the float range")
     _, omega0 = tangent_contact(Spiral(kappa, 1.0))
-    top, h_max = math.atan(kappa), -kappa * omega0
-    step = math.sqrt(math.tau * kappa) / _TABLE_CELLS
-    s = step * np.arange(_TABLE_CELLS + 1)
-    level = h_max - s * s
+    top, h_max, span = math.atan(kappa), -kappa * omega0, math.sqrt(math.tau * kappa)
     grid = -0.5 * math.pi + (top + 0.5 * math.pi) * _FRACTION
+    table, cells = None, _COARSE_CELLS
+
+    def newton(level: np.ndarray, t: np.ndarray) -> np.ndarray:  # a t past -pi/2 steps to it
+        return np.clip(t - (kappa * t + _log_cos(t) - level) / (kappa - np.tan(t)),
+                       -0.5 * math.pi, top)
+
     with np.errstate(divide="ignore", invalid="ignore"):
         grid_s = np.sqrt(np.maximum(h_max - kappa * grid - _log_cos(grid), 0.0))
-        t = np.interp(s, grid_s[::-1], grid[::-1])
-        for _ in range(4):
-            t = t - (kappa * t + _log_cos(t) - level) / (kappa - np.tan(t))
-            t = np.clip(t, -0.5 * math.pi, top)
-        t[0] = top
-        slope = -2.0 * s / (kappa - np.tan(t))
-    slope[0] = -math.sqrt(2.0 / (1.0 + kappa * kappa))
-    slope *= step
-    rise = np.diff(t)
-    coef = np.stack((t[:-1], slope[:-1], 3.0 * rise - 2.0 * slope[:-1] - slope[1:],
-                     slope[:-1] + slope[1:] - 2.0 * rise), axis=1)
-    return _InverseTable(kappa, omega0, 1.0 / step, coef)
+        while True:
+            step = span / cells
+            s = step * np.arange(cells + 1)
+            level = h_max - s[1:] * s[1:]
+            if table is None:
+                t = np.interp(s[1:], grid_s[::-1], grid[::-1])
+            else:  # the last table's cubics at u = j/r, j = 1..r, r = cells/table.cells
+                u = np.arange(1, cells // table.cells + 1) * (table.cells / cells)
+                t = (table.coef @ u ** np.arange(4)[:, None]).ravel()
+            for _ in range(_NEWTON_CAP):
+                t, last = newton(level, t), t
+                if not np.abs(t - last).max() > _NEWTON_TOL:
+                    break
+            t = np.concatenate(([top], t))
+            slope = -2.0 * step * s / (kappa - np.tan(t))
+            slope[0] = -step * math.sqrt(2.0 / (1.0 + kappa * kappa))
+            rise = np.diff(t)
+            coef = np.stack((t[:-1], slope[:-1], 3.0 * rise - 2.0 * slope[:-1] - slope[1:],
+                             slope[:-1] + slope[1:] - 2.0 * rise), axis=1)
+            mid = coef @ np.array([1.0, 0.5, 0.25, 0.125])  # each cubic at u = 1/2
+            error = float(np.abs(newton(h_max - (s[:-1] + 0.5 * step) ** 2, mid) - mid).max())
+            table = _InverseTable(kappa, omega0, 1.0 / step, coef, cells, error)
+            if error <= _TABLE_TOL or cells == _TABLE_CELLS:
+                return table
+            grow = 0.25 * math.log2(np.fmin(error, 1.0) / _TABLE_TOL)  # NaN or inf reads 1
+            cells = min(_TABLE_CELLS, cells << math.ceil(grow))
 
 
 def _first_contacts(table: _InverseTable, omegas: np.ndarray,
@@ -300,7 +324,7 @@ def _first_contacts(table: _InverseTable, omegas: np.ndarray,
     np.sqrt(x, out=x)
     x *= table.inv_step
     np.copyto(cell, x, casting="unsafe")
-    np.minimum(cell, _TABLE_CELLS - 1, out=cell)
+    np.minimum(cell, table.cells - 1, out=cell)
     x -= cell  # u, the offset in the cell
     # cell is in range; mode "raise" would write through a buffered copy of out
     table.coef.take(cell, axis=0, out=coef, mode="clip")
@@ -524,9 +548,8 @@ def scan_worst_ratio(gamma: float, points: int) -> float:
     the grid gamma^[-1, 1] (the negative side's period (1/gamma, gamma] drops
     its left end, whose path leaves from gamma^-2), plus one probe per side
     just above a jump point, X = 1 + 1e-9 and -(1 + 1e-9)/gamma, where the
-    supremum is approached.  It answers while 2*gamma^2 is finite (gamma < ~9.5e153);
-    past that the maximum is not finite, a NumericalError, and from ~1.34e154, where
-    the turning point gamma^2 overflows, `bracket_ratio` raises the walk's overflow."""
+    supremum is approached.  It answers while the turning point gamma^2 is finite
+    (gamma < ~1.34e154); past that `bracket_ratio` raises the walk's overflow."""
     _check_gamma(gamma)
     if points < 100:
         raise ValueError("require points >= 100")

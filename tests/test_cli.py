@@ -162,11 +162,12 @@ class TestSimulateCommands:
             out = capsys.readouterr().out
             assert out.startswith("command = ") and "diag." not in out
 
-    def test_seed_reproducibility_byte_identical(self):
-        a = run_cli("simulate", "mixed", "--gamma", "2", "-n", "10000", "--seed", "42")
-        b = run_cli("simulate", "mixed", "--gamma", "2", "-n", "10000", "--seed", "42")
-        assert a.stdout == b.stdout
-        assert a.returncode == b.returncode == 0
+    def test_seed_reproducibility_byte_identical(self, capsys):
+        argv = ["simulate", "mixed", "--gamma", "2", "-n", "10000", "--seed", "42"]
+        a = main(argv), capsys.readouterr().out
+        b = main(argv), capsys.readouterr().out
+        assert a[1] == b[1]
+        assert a[0] == b[0] == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -538,10 +539,11 @@ class TestOutputFormats:
         assert exc.value.code == 2
         assert "--check" in capsys.readouterr().err
 
-    def test_help(self):
-        cp = run_cli("--help")
-        assert cp.returncode == 0
-        assert "shoreline" in cp.stdout
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "shoreline" in capsys.readouterr().out
 
 
 def test_check_command_runs_full_suite(capsys):

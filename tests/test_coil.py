@@ -238,7 +238,7 @@ class TestWorstCaseRatio:
         assert top >= worst_case_ratio(c) * (1.0 - 1e-3)
 
     def test_finite_wherever_the_supremum_is(self):
-        # 2*gamma^2 overflows from gamma ~ 9.5e153; 2*gamma + 3 + 2/(gamma - 1)
+        # gamma^2 overflows from gamma ~ 1.34e154; 2*gamma + 3 + 2/(gamma - 1)
         # does not
         for g in (9.5e153, 1e200, 1e308):
             assert worst_case_ratio(Coil(g)) == pytest.approx(2.0 * g, rel=1e-15)

@@ -189,6 +189,77 @@ class TestFirstContacts:
         assert bisected - {omegas[0]}
 
 
+def _newton_reference(k, level, t):
+    """Eight Newton steps on k*t + ln cos t = level from t, kept inside
+    [-pi/2, atan(k)], with ln cos t read as log1p(-2 sin^2(t/2)) for |t| < 1
+    and ln(cos t) beyond, not as the table reads it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            log_cos = np.where(np.abs(t) < 1.0, np.log1p(-2.0 * np.sin(0.5 * t) ** 2),
+                               np.log(np.cos(t)))
+            t = np.clip(t - (k * t + log_cos - level) / (k - np.tan(t)), -0.5 * math.pi,
+                        math.atan(k))
+    return t
+
+
+class TestInverseTable:
+    # the cells each kappa's table takes under its error rule: 512 up to
+    # kappa = 1, and the 4096 cap from kappa = 20
+    CELLS = {1e-8: 512, 0.1: 512, golden.MINMAX_KAPPA: 512, golden.MINMEAN_KAPPA: 512,
+             1.0: 512, 5.0: 2048, 20.0: 4096, 30.0: 4096, 100.0: 4096}
+    # rows bisected among 200,000 seed-1 directions with 4096 cells and four
+    # Newton steps at every kappa; none at kappa <= 20
+    BISECTED_AT_4096 = {30.0: 481, 100.0: 3623}
+
+    def _table(self, k):
+        table = _inverse_table(k)
+        assert table.cells == len(table.coef) == self.CELLS[k]
+        return table
+
+    @staticmethod
+    def _levels(table, x):
+        # H_max - s^2 at s = x*step
+        s = x / table.inv_step
+        return -table.kappa * table.omega0 - s * s
+
+    @pytest.mark.parametrize("k", CELLS)
+    def test_nodes_match_a_newton_reference(self, k):
+        table = self._table(k)
+        x = np.arange(table.cells + 1.0)
+        nodes = np.append(table.coef[:, 0], table.coef[-1].sum())
+        reference = _newton_reference(k, self._levels(table, x), nodes)
+        assert nodes[0] == math.atan(k)
+        assert np.abs(nodes[1:] - reference[1:]).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", CELLS)
+    def test_midpoint_error_is_measured_and_within_tolerance(self, k):
+        # the error the table records is its cubics' distance from the
+        # solved levels at the cell midpoints, within tolerance below the cap
+        table = self._table(k)
+        mid = table.coef @ np.array([1.0, 0.5, 0.25, 0.125])
+        level = self._levels(table, np.arange(table.cells) + 0.5)
+        error = np.abs(mid - _newton_reference(k, level, mid)).max()
+        assert table.error == pytest.approx(error, rel=0.01)
+        if table.cells < simulate._TABLE_CELLS:
+            assert table.error <= simulate._TABLE_TOL
+        if table.cells > simulate._COARSE_CELLS:  # a smaller table misses the tolerance
+            assert table.error * 16.0 > simulate._TABLE_TOL
+
+    @pytest.mark.parametrize("k", CELLS)
+    def test_bisected_rows_on_seed_one_draws(self, k, monkeypatch):
+        table = self._table(k)
+        omegas = table.omega0 + TWO_PI * uniform_block(1, 0, 200_000)
+        bisected = []
+
+        def recorder(kappa, w, lo, hi):
+            bisected.extend(np.atleast_1d(w))
+            return _bisect_contacts(kappa, w, lo, hi)
+
+        monkeypatch.setattr(simulate, "_bisect_contacts", recorder)
+        _first_contacts(table, omegas)
+        assert len(bisected) <= self.BISECTED_AT_4096.get(k, 0)
+
+
 class TestBisectContacts:
     def test_array_matches_scalars_and_ends_at_a_sign_change(self):
         # width-h brackets are march crossings; a graze bracket runs from one
@@ -590,14 +661,14 @@ def test_mixed_strategy_sample_is_bit_identical(point):
 # them: (kappa, seed, n) -> SampleStats
 SPIRAL_PINNED = {
     (0.3732051316134667, 7, 40000): SampleStats(
-        mean=7.007838849763904, std_error=0.01919740066493141, n=40000,
-        min=2.8600131210196453, max=16.542725072330306),
+        mean=7.007838849764881, std_error=0.019197400664936054, n=40000,
+        min=2.860013121019557, max=16.542725072330384),
     (0.2124695594156479, 3, 3 * _BLOCK + 5): SampleStats(
-        mean=8.115475114483814, std_error=0.011804117598344445, n=49157,
-        min=4.811618720960639, max=13.81096742905272),
+        mean=8.11547511448395, std_error=0.011804117598345019, n=49157,
+        min=4.811618720960615, max=13.81096742905272),
     (5.0, 11, 100000): SampleStats(
-        mean=2955780.1145663415, std_error=35837.12436761622, n=100000,
-        min=1.0198039044537106, max=92523340.88523927),
+        mean=2955780.1145663396, std_error=35837.12436761621, n=100000,
+        min=1.0198039044536178, max=92523340.88523927),
 }
 
 
@@ -611,11 +682,11 @@ def test_monte_carlo_mean_arclength_is_bit_identical(point):
 
 
 # The (mean, std_error) that the whole-array summary gave at the pinned points
-# where the block merge moved them, by 1 ulp each.
+# where the block merge moved either, by at most 1 ulp each.
 WHOLE_ARRAY_PINNED = {
     (2.0, 1.0, 7, 40000): (5.318027548698102, 0.008500709256265481),
     (1.05, 1e-200, 11, 100000): (43.01710993052373, 0.0037345063976886718),
-    (0.3732051316134667, 7, 40000): (7.007838849763904, 0.019197400664931405),
+    (0.3732051316134667, 7, 40000): (7.007838849764882, 0.019197400664936054),
 }
 
 
@@ -710,6 +781,19 @@ class TestScanWorstRatio:
                 got = float(bracket_ratio(g, abs(x), 0 if x > 0.0 else -1))
                 want = travel_distance(Coil(g), x).delta / abs(x)
                 assert got == pytest.approx(want, rel=1e-15), (g, x)
+
+    def test_ratio_whose_numerator_overflows_answers(self):
+        # 2*gamma^2 overflows from gamma ~ 9.5e153 where the ratio, about
+        # 2*gamma, does not: the kernel doubles after dividing, so it,
+        # travel_distance and the scan answer up to gamma ~ 1.34e154, where
+        # gamma^2 itself overflows
+        g, x = 1.3e154, 1.0 + 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = travel_distance(Coil(g), x).delta / x
+            assert float(bracket_ratio(g, x, 0)) == pytest.approx(want, rel=1e-15)
+            assert scan_worst_ratio(g, 1000) == want
+        assert want == pytest.approx(worst_case_ratio(Coil(g)), rel=1e-8)
 
     def test_kernel_refuses_magnitudes_outside_its_domain(self):
         with pytest.raises(NumericalError, match="underflow"):
@@ -877,8 +961,6 @@ def test_parameter_outside_domain_is_value_error(name, value):
 NON_FINITE_CALLS = {
     "average_ratio-inf": lambda: average_ratio(Coil(1.000000001), 4e299),
     "average_ratio-nan": lambda: average_ratio(Coil(1.0000000000004245), 1.2462580855985263e307),
-    # gamma^2 is finite, and the ratio's numerator 2*gamma^2 overflows
-    "scan_worst_ratio-numerator": lambda: scan_worst_ratio(1.3e154, 1000),
 }
 
 
