@@ -30,7 +30,7 @@ from .spiral_objectives import (minimize_erroneous, minimize_minmax, minimize_mi
                                 minmax_system_objective, minmax_system_residuals,
                                 solve_minmax_system, solve_minmean_system)
 
-__all__ = ["Gate", "CheckResult", "run_criterion", "run_all", "CRITERIA"]
+__all__ = ["run_all"]
 
 
 @dataclass(frozen=True)

@@ -20,23 +20,8 @@ import numpy as np
 
 from .numerics import Bracket, NumericalError, _check_positive, find_root, lambert_w0
 
-__all__ = [
-    "Coil",
-    "CoilHit",
-    "RatioExtrema",
-    "MixedStrategy",
-    "MeanOptima",
-    "bracket_index",
-    "travel_distance",
-    "bracket_ratio",
-    "worst_case_ratio",
-    "optimal_minmax_coil",
-    "average_ratio",
-    "ratio_extrema",
-    "optimal_minmean_coil",
-    "mixed_expected_ratio",
-    "optimal_mixed",
-]
+__all__ = ["Coil", "travel_distance", "worst_case_ratio", "optimal_minmax_coil", "average_ratio",
+           "ratio_extrema", "optimal_minmean_coil", "mixed_expected_ratio", "optimal_mixed"]
 
 
 def _check_gamma(gamma: float) -> None:
@@ -81,8 +66,8 @@ class RatioExtrema:
     max_value: float
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.min_value < self.max_value:
-            raise ValueError("require 1 < min_value < max_value")
+        if not 1.0 < self.min_value <= self.max_value:
+            raise ValueError("require 1 < min_value <= max_value")
 
 
 @dataclass(frozen=True)
@@ -271,17 +256,19 @@ def optimal_minmax_coil() -> Tuple[float, float]:
 
 
 def average_ratio(coil: Coil, x: float) -> float:
-    """Normalized average (1/(2x)) * integral of delta(s)/|s| over [-x, x].
+    """Normalized average (1/(2x)) * integral of delta(s)/|s| over [-x, x],
 
-    The infinite stacks of whole-bracket pieces below the current brackets
-    are geometric series and are summed in closed form
-    (sum of gamma^(2p) for p <= i-1 equals gamma^(2i)/(gamma^2 - 1));
-    only the two partial brackets need the logarithmic terms.  Log-periodic
-    in x with period gamma^2.  The partial pieces integrate delta(s)/s: over
-    [gamma^(2i), x], (x - gamma^(2i)) + 2*gamma^(2i+2)/(gamma-1) * ln(x/gamma^(2i));
-    over [-x, -gamma^(2j-1)], a negative value, subtracted below,
-    (-x + gamma^(2j-1)) - 2*gamma^(2j+1)/(gamma-1) * ln(x/gamma^(2j-1)).
-    A sum that overflows, to inf or to inf - inf, is a NumericalError.
+        1 + (gamma^(2i+2)/x) * (h + L_i/(gamma-1)) + (gamma^(2j+1)/x) * (h + L_j/(gamma-1))
+
+    with h = 2 ln(gamma)/((gamma-1)^2 (gamma+1)), the brackets gamma^(2i) <
+    x <= gamma^(2i+2) and gamma^(2j-1) < x <= gamma^(2j+1), L_i =
+    ln(x/gamma^(2i)) and L_j = ln(x/gamma^(2j-1)).  On each side the whole
+    brackets below x sum as a geometric series; the lower turning point that
+    series adds, the partial bracket up to x subtracts, so only the upper
+    turning points remain, each divided by x into [1, gamma^2).  So the sum
+    cannot overflow below gamma ~ 1.34e154, where gamma^2 does; above it an
+    overflowing sum is a NumericalError, as is what `_bracket` refuses.
+    Log-periodic in x with period gamma^2.
     """
     _check_positive("X", x)
     g = coil.gamma
@@ -289,21 +276,22 @@ def average_ratio(coil: Coil, x: float) -> float:
     r = math.log(x) / (2.0 * lg)
     i, pi0, pi2 = _bracket(g, x, 0, r)
     j, pj0, pj2 = _bracket(g, x, -1, r)
-    log_i = math.log(x / pi0)  # not ln x - 2i ln(gamma), which cancels near gamma = 1
-    log_j = log_i + lg if j == i else log_i - lg  # ln(x/gamma^(2j-1)): j is i or i + 1
-    series = 4.0 * lg / ((g - 1.0) ** 2 * (g + 1.0))
-    whole_pos = pi0 + series * pi2
-    whole_neg = pj0 + series * pj2
-    partial_pos = (x - pi0) + (2.0 * pi2 / (g - 1.0)) * log_i
-    partial_neg = (-x + pj0) - (2.0 * pj2 / (g - 1.0)) * log_j
-    ratio = (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
+    # j is i or i + 1.  Each log is read from the nearest turning point below
+    # x, t = gamma^(2i) or gamma^(2j-1), as ln(x/t) in (0, ln gamma], and the
+    # other one is that plus ln(gamma): no difference cancels, neither
+    # ln x - 2i ln(gamma) near gamma = 1 nor a log less ln(gamma).  The path
+    # to the other side's target leaves from t, so `_bracket` found t normal.
+    log_near = math.log(x / (pi0 if j == i else pj0))
+    log_i, log_j = (log_near, log_near + lg) if j == i else (log_near + lg, log_near)
+    h = 2.0 * lg / (g - 1.0) / ((g - 1.0) * (g + 1.0))
+    ratio = 1.0 + pi2 / x * (h + log_i / (g - 1.0)) + pj2 / x * (h + log_j / (g - 1.0))
     if not math.isfinite(ratio):
         raise NumericalError(f"average ratio {ratio!r} at X = {x!r} is not finite")
     return ratio
 
 
 def _ratio_min(g: float) -> float:
-    return 1.0 + g * (g + 1.0) * math.log(g) / (g - 1.0) ** 2
+    return 1.0 + g / (g - 1.0) * ((g + 1.0) / (g - 1.0)) * math.log(g)
 
 
 def _ratio_max(g: float) -> float:
@@ -313,14 +301,17 @@ def _ratio_max(g: float) -> float:
 def ratio_extrema(coil: Coil) -> RatioExtrema:
     """Closed-form extrema of the normalized average ratio over one period:
 
-        min = 1 + gamma*(gamma+1)*ln(gamma)/(gamma-1)^2
+        min = 1 + gamma/(gamma-1) * (gamma+1)/(gamma-1) * ln(gamma)
         max = 1 + (1/e) * (gamma+1)/(gamma-1) * gamma^(gamma/(gamma-1))
 
-    The minimum is attained at interval radii x = gamma^(2k); the maximum at
-    an interior point of each period.
+    each finite for every gamma.  The minimum is attained at interval radii
+    x = gamma^(2k); the maximum at an interior point of each period.  Both
+    read 2/(gamma-1) + 3 + O(gamma-1), so below gamma ~ 1 + 4e-8 they agree to
+    rounding, and a max computed an ulp under the min reads the min.
     """
     g = coil.gamma
-    return RatioExtrema(min_value=_ratio_min(g), max_value=_ratio_max(g))
+    low = _ratio_min(g)
+    return RatioExtrema(min_value=low, max_value=max(low, _ratio_max(g)))
 
 
 def optimal_minmean_coil() -> MeanOptima:

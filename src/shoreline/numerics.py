@@ -19,17 +19,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-__all__ = [
-    "NumericalError",
-    "Bracket",
-    "SolveReport",
-    "find_root",
-    "minimize_scalar",
-    "solve_system2",
-    "integrate",
-    "lambert_w0",
-    "uniform_block",
-]
+__all__ = ["NumericalError", "uniform_block"]
 
 
 class NumericalError(RuntimeError):

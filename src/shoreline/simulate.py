@@ -60,16 +60,9 @@ from .numerics import (Bracket, NumericalError, _check_positive, _golden_section
                        uniform_block)
 from .spiral_geometry import Spiral, arclength, contact_distance, tangent_contact
 
-__all__ = [
-    "SimConfig",
-    "SampleStats",
-    "spiral_first_contact",
-    "monte_carlo_mean_arclength",
-    "coil_marching_distance",
-    "coil_walk_sample",
-    "mixed_strategy_sample",
-    "scan_worst_ratio",
-]
+__all__ = ["SimConfig", "spiral_first_contact", "monte_carlo_mean_arclength",
+           "coil_marching_distance", "coil_walk_sample", "mixed_strategy_sample",
+           "scan_worst_ratio"]
 
 # A line counts as touched when the marched distance comes within this of
 # zero at a local maximum; tangential grazes then resolve to the maximum
@@ -159,8 +152,8 @@ def _summarize(blocks: Iterable[np.ndarray]) -> SampleStats:
     The blocks' (count, mean, M2, min, max) are merged in order by the
     pairwise update of Chan, Golub & LeVeque (The American Statistician
     37(3), 1983); the merged mean and standard error lie within 1e-14
-    relative of one whole array's.  Raises NumericalError when a sample or a
-    statistic is not finite."""
+    relative of one whole array's, and the mean is clamped into [min, max].
+    Raises NumericalError when a sample or a statistic is not finite."""
     n, mean, m2, lo, hi = 0, math.nan, math.nan, math.nan, math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         for values in blocks:
@@ -178,6 +171,7 @@ def _summarize(blocks: Iterable[np.ndarray]) -> SampleStats:
             mean += delta * (count / total)
             m2 += b_m2 + delta * delta * (n * count / total)
             n, lo, hi = total, min(lo, b_lo), max(hi, b_hi)
+    mean = min(max(mean, lo), hi)  # a sum of equal samples can round the mean past them
     se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
     if not all(map(math.isfinite, (mean, se, lo, hi))):
         raise NumericalError("non-finite sample statistics")

@@ -14,15 +14,7 @@ from typing import Tuple
 
 from .numerics import Bracket, NumericalError, _check_positive, find_root
 
-__all__ = [
-    "Spiral",
-    "TangentContact",
-    "tangent_contact",
-    "contact_distance",
-    "second_contact",
-    "contact_at",
-    "arclength",
-]
+__all__ = ["Spiral", "contact_distance", "second_contact", "contact_at"]
 
 
 @dataclass(frozen=True)

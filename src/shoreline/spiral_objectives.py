@@ -41,25 +41,10 @@ from typing import Tuple
 from .numerics import Bracket, SolveReport, find_root, solve_system2
 from .spiral_geometry import Spiral, TangentContact, arclength, second_contact
 
-__all__ = [
-    "AnglePair",
-    "Optimum",
-    "minmax_at",
-    "erroneous_at",
-    "minmean_at",
-    "minmax_objective",
-    "erroneous_objective",
-    "minmean_objective",
-    "minimize_minmax",
-    "minimize_minmean",
-    "minimize_erroneous",
-    "minmax_system_residuals",
-    "minmax_system_objective",
-    "solve_minmax_system",
-    "minmean_system_residuals",
-    "minmean_system_objective",
-    "solve_minmean_system",
-]
+__all__ = ["minmax_at", "erroneous_at", "minmean_at", "minmax_objective", "erroneous_objective",
+           "minmean_objective", "minimize_minmax", "minimize_minmean", "minimize_erroneous",
+           "minmax_system_residuals", "minmax_system_objective", "solve_minmax_system",
+           "minmean_system_objective", "solve_minmean_system"]
 
 # Search brackets: both contain the optima with wide margin and stay clear of
 # the kappa -> 0 divergence.  Unimodality on them is checked by a scan in the

@@ -9,9 +9,9 @@ from typing import Optional
 
 import pytest
 
-from shoreline import coil, golden
+from shoreline import cli, coil, golden
 from shoreline.cli import build_parser, main
-from shoreline.numerics import lambert_w0
+from shoreline.numerics import lambert_w0, uniform_block
 from shoreline.spiral_geometry import Spiral, second_contact
 from shoreline.spiral_objectives import erroneous_objective, minmax_objective, minmean_objective
 
@@ -338,15 +338,56 @@ def test_subnormal_departure_is_refused(gamma, target, capsys):
     assert "underflow:" in err and err.count("\n") == 1
 
 
-def test_plot_data_non_finite_is_one_failure_line(tmp_path: Path):
-    # average_ratio is inf - inf there; nothing is written
+def test_plot_data_non_finite_is_one_failure_line(monkeypatch, capsys, tmp_path: Path):
+    # an average whose quotient gamma^(2j+1)/x overflows (gamma = 1e300), and
+    # a kernel stubbed to return inf, each fail as one line; nothing is written
     out = tmp_path / "i.csv"
-    cp = run_cli("plot-data", "I", "--gamma", "1.000000001", "--range", "4e299:5e299",
-                 "--points", "5", "--out", str(out), timeout=30.0)
-    assert cp.returncode == 1 and cp.stdout == "" and "Warning" not in cp.stderr
-    assert cp.stderr.startswith("numerical failure: plot-data I (")
-    assert cp.stderr.endswith("is not finite\n") and cp.stderr.count("\n") == 1
-    assert not out.exists()
+    argv = ["plot-data", "I", "--range", "1e-10:2e-10", "--points", "5", "--out", str(out)]
+    for gamma, kernel, ending in (("1e300", coil.average_ratio, "is not finite\n"),
+                                  ("2", lambda c, x: math.inf, "non-finite result: I\n")):
+        monkeypatch.setattr(cli, "average_ratio", kernel)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--gamma", gamma]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not caught and "Warning" not in err
+        assert err.startswith("numerical failure: plot-data I (")
+        assert err.endswith(ending) and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_coil_average_answers_or_fails_classified(capsys, tmp_path: Path):
+    # gamma = 10^U(0, 308) and |X| = 10^U(-300, 300), where the lower turning
+    # point gamma^(2i) may underflow to 0: `coil eval` and `plot-data I` each
+    # exit 0 with finite output or 1 with one classified line, never 2 and
+    # never a traceback, and with no numpy warning
+    u = iter(uniform_block(79, 0, 900).tolist())
+    out_file = tmp_path / "i.csv"
+    codes = []
+    for _ in range(300):
+        gamma = repr(max(10.0 ** (308.0 * next(u)), 1.5))
+        x = 10.0 ** (-300.0 + 600.0 * next(u)) * (1.0 if next(u) < 0.5 else -1.0)
+        span = f"{abs(x)!r}:{1.5 * abs(x)!r}"
+        for argv in (["coil", "eval", "--gamma", gamma, f"--X={x!r}", "--format", "json"],
+                     ["plot-data", "I", "--gamma", gamma, "--range", span, "--points", "3",
+                      "--out", str(out_file)]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert not caught and code in (0, 1), argv
+            if code == 1:
+                assert out == "" and not out_file.exists(), argv
+                assert err.startswith(f"numerical failure: {argv[0]} {argv[1]} (")
+                assert err.count("\n") == 1, argv
+            elif argv[0] == "coil":
+                assert all(map(math.isfinite, json.loads(out)["results"].values())), argv
+            else:
+                rows = [r.split(",") for r in out_file.read_text().splitlines()[1:]]
+                out_file.unlink()
+                assert len(rows) == 3 and all(math.isfinite(float(v)) for r in rows for v in r)
+            codes.append(code)
+    assert codes.count(0) >= 200 and codes.count(1) >= 60
 
 
 @pytest.mark.parametrize("argv", [

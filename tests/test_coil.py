@@ -318,8 +318,9 @@ def _parent_bracket_index(g: float, target: float) -> int:
 
 
 def _parent_average_ratio(g: float, x: float) -> float:
-    # two bracket_index calls and the two partial-bracket integral formulas,
-    # each log read as ln(x/gamma^(2i)), and ln(x/gamma^(2j-1)) from it
+    # two bracket_index calls and the four bracket pieces of each side: the
+    # whole brackets below x and the partial bracket up to it, each log read
+    # from its own bracket, ln(x/gamma^(2i)) and ln(x/gamma^(2j-1))
     lg = math.log(g)
     i = _parent_bracket_index(g, x)
     j = _parent_bracket_index(g, -x)
@@ -327,7 +328,7 @@ def _parent_average_ratio(g: float, x: float) -> float:
     whole_pos = g ** (2 * i) + series * g ** (2 * i + 2)
     whole_neg = g ** (2 * j - 1) + series * g ** (2 * j + 1)
     log_i = math.log(x / g ** (2 * i))
-    log_j = log_i + lg if j == i else log_i - lg
+    log_j = math.log(x / g ** (2 * j - 1))
     partial_pos = (x - g ** (2 * i)) + (2.0 * g ** (2 * i + 2) / (g - 1.0)) * log_i
     partial_neg = (-x + g ** (2 * j - 1)) - (2.0 * g ** (2 * j + 1) / (g - 1.0)) * log_j
     return (whole_pos + partial_pos + whole_neg - partial_neg) / (2.0 * x)
@@ -355,10 +356,34 @@ def _same_outcome(new, old) -> bool:
     return a == b
 
 
+def _average_agrees(c: Coil, x: float) -> bool:
+    """average_ratio(c, x) within 1e-15 relative of the four-piece sum where
+    that is finite.  Where the pieces overflow, an answer inside the period
+    extrema, or the walk's overflow of a turning point past the float range."""
+    try:
+        old = _parent_average_ratio(c.gamma, x)
+    except OverflowError:
+        old = math.inf
+    try:
+        new = average_ratio(c, x)
+    except NumericalError as exc:
+        return not math.isfinite(old) and str(exc).startswith("overflow: target beyond")
+    if math.isfinite(old):
+        return abs(new - old) <= 1e-15 * old
+    return _within_extrema(c, new)
+
+
+def _within_extrema(c: Coil, value: float) -> bool:
+    ext = ratio_extrema(c)
+    return ext.min_value * (1.0 - 1e-12) <= value <= ext.max_value * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize("g", [1.0 + 1e-9, 1.5, 2.0, 1.0 / lambert_w0(math.exp(-1.0)), 8.0, 1e6])
 def test_closed_forms_match_the_separate_bracket_formulas_bit_for_bit(g):
     # turning points +-gamma^k across the float range, the doubles beside
-    # them, and log-uniform magnitudes; near 1e300 some distances overflow
+    # them, and log-uniform magnitudes; near 1e300 some distances overflow.
+    # travel_distance and bracket_index are bit for bit; average_ratio sums
+    # two quotients instead of four pieces, so it agrees to rounding
     u = uniform_block(59, 0, 200).tolist()
     xs = [10.0 ** (-300.0 + 600.0 * v) for v in u]
     for t in np.linspace(-690.0, 690.0, 61).tolist():
@@ -366,7 +391,7 @@ def test_closed_forms_match_the_separate_bracket_formulas_bit_for_bit(g):
         xs += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
     c = Coil(g)
     for x in xs:
-        assert _same_outcome(lambda: average_ratio(c, x), lambda: _parent_average_ratio(g, x)), x
+        assert _average_agrees(c, x), x
         for t in (x, -x):
             assert _same_outcome(lambda: travel_distance(c, t),
                                  lambda: _parent_travel_distance(g, t)), t
@@ -457,6 +482,62 @@ class TestAverageRatio:
             checked += 1
         assert checked >= 500
 
+    def test_within_1e12_of_mpmath_across_the_float_range(self):
+        # gamma = 10^U(0, 308) and x = 10^U(-307, 308), where gamma^(2i) can be
+        # subnormal or 0, against the two-quotient sum at 60 digits with exact
+        # powers; refused draws are skipped
+        mp = pytest.importorskip("mpmath")
+        u = uniform_block(73, 0, 4000).tolist()
+        checked = 0
+        for a, b in zip(u[::2], u[1::2]):
+            g, x = 10.0 ** (308.0 * a), 10.0 ** (-307.0 + 615.0 * b)
+            try:
+                got = average_ratio(Coil(g), x)
+            except (NumericalError, ValueError):
+                continue
+            with mp.workdps(60):
+                G, X = mp.mpf(g), mp.mpf(x)
+                lg, lx = mp.log(G), mp.log(X)
+                i = int(mp.ceil(lx / (2 * lg))) - 1  # G^(2i) < X <= G^(2i+2)
+                j = int(mp.ceil((lx / lg - 1) / 2))  # G^(2j-1) < X <= G^(2j+1)
+                h = 2 * lg / ((G - 1) ** 2 * (G + 1))
+                want = (1 + G ** (2 * i + 2) / X * (h + (lx - 2 * i * lg) / (G - 1))
+                        + G ** (2 * j + 1) / X * (h + (lx - (2 * j - 1) * lg) / (G - 1)))
+            assert abs(got - want) <= 1e-12 * want, (g, x)
+            checked += 1
+        assert checked >= 500
+
+    def test_within_extrema_wherever_answered(self):
+        # gamma = 1 + 10^U(-14, 1) with x = 10^U(-300, 300), and gamma =
+        # 10^U(0, 308.25) with x = 10^U(-307, 308): an answer lies within the
+        # period extrema, and a refusal is a NumericalError, never libm's raw
+        # ZeroDivisionError or OverflowError.  Below gamma ~ 1.34e154, where
+        # gamma^2 is finite, no average is refused as not finite.
+        u = uniform_block(67, 0, 8000).tolist()
+        cases = [(1.0 + 10.0 ** (-14.0 + 15.0 * a), 10.0 ** (-300.0 + 600.0 * b))
+                 for a, b in zip(u[0:4000:2], u[1:4000:2])]
+        cases += [(10.0 ** (308.25 * a), 10.0 ** (-307.0 + 615.0 * b))
+                  for a, b in zip(u[4000::2], u[4001::2]) if 10.0 ** (308.25 * a) > 1.0]
+        answered = 0
+        for g, x in cases:
+            c = Coil(g)
+            try:
+                value = average_ratio(c, x)
+            except NumericalError as exc:
+                assert "not finite" not in str(exc) or g * g == math.inf, (g, x)
+                continue
+            assert _within_extrema(c, value), (g, x)
+            answered += 1
+        assert answered >= 2500
+
+    def test_underflowed_lower_turning_point(self):
+        # gamma^-2 underflows to 0 at gamma = 1e200, and x = 0.5 lies above
+        # gamma^-1, so each log is read from gamma^-1: the average is
+        # 1 + 2*gamma/(gamma - 1)*ln(gamma/2), up to terms below 1e-190
+        g = 1e200
+        want = 1.0 + 2.0 * (math.log(g) + math.log(0.5))
+        assert average_ratio(Coil(g), 0.5) == pytest.approx(want, rel=1e-15)
+
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             average_ratio(Coil(2.0), -1.0)
@@ -476,6 +557,19 @@ class TestRatioExtrema:
         vals = np.array([average_ratio(c, float(x)) for x in xs])
         assert float(vals.min()) == pytest.approx(ext.min_value, abs=1e-5)
         assert float(vals.max()) == pytest.approx(ext.max_value, abs=1e-5)
+
+    def test_finite_and_ordered_for_every_gamma(self):
+        # the minimum is finite past gamma ~ 1.34e154, where gamma^2 overflows,
+        # reading 1 + ln(gamma) to rounding; near gamma = 1 both extrema read
+        # 2/(gamma - 1) + 3 + O(gamma - 1), so there they may be equal
+        u = uniform_block(71, 0, 2000).tolist()
+        gammas = [1.0 + 10.0 ** (-15.5 + 16.0 * v) for v in u[:1000]]
+        gammas += [10.0 ** (308.25 * v) for v in u[1000:]]
+        for g in filter(lambda g: g > 1.0, gammas):
+            ext = ratio_extrema(Coil(g))
+            assert 1.0 < ext.min_value <= ext.max_value < math.inf, g
+        for g in (1e153, 1.4e154, 1e300, 1.7e308):
+            assert ratio_extrema(Coil(g)).min_value == pytest.approx(1.0 + math.log(g), rel=1e-15)
 
     def test_minimum_attained_at_even_powers(self):
         for g in (1.7, 2.0, 4.2):
